@@ -54,11 +54,6 @@ def _high_spans(trace: PinTrace) -> list[tuple[int, int | None]]:
     return spans
 
 
-def _gate_high_within(gate: PinTrace, a: int, b: int) -> bool:
-    """True when the gate was HIGH at some instant of the closed [a, b]."""
-    return any(s <= b and (e is None or e > a) for s, e in _high_spans(gate))
-
-
 def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     """One-tick pulse per event rising edge with the gate recently HIGH.
 
@@ -67,11 +62,18 @@ def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     """
     if window_ms < 0:
         raise ValueError("window_ms must be >= 0")
-    pulses = [
-        (t, t + 1)
-        for t in event.rising_edges()
-        if _gate_high_within(gate, max(0, t - window_ms), t)
-    ]
+    # Rising edges and gate spans are both time-ordered and window starts
+    # never decrease, so a span that ends at or before one window's start
+    # is behind every later window too: one pointer walks the spans.
+    spans = _high_spans(gate)
+    j = 0
+    pulses = []
+    for t in event.rising_edges():
+        a = max(0, t - window_ms)
+        while j < len(spans) and spans[j][1] is not None and spans[j][1] <= a:
+            j += 1
+        if j < len(spans) and spans[j][0] <= t:
+            pulses.append((t, t + 1))
     return _trace_from_intervals(f"gated({event.line_id})", pulses)
 
 

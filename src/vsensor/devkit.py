@@ -8,15 +8,19 @@ private channel that no host-side query can read back.
 
 from __future__ import annotations
 
+import bisect
 import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .vbus import Bus, BusError, ExposureRecord, LogicLevel, LOW
 
 BLOB_MAGIC = b"MLSP"
 BLOB_VERSION = 1
+
+_time_of = itemgetter(0)
 
 
 class DeviceKind(Enum):
@@ -134,6 +138,7 @@ class SensorDevice:
         self._cadence_ms = cadence_ms
         self._powered = False
         self._params_payload: bytes | None = None
+        # (at, stimulus), sorted by time; FIFO among equal times
         self._stimuli: list[tuple[int, object]] = []
         self._port: DevicePort | None = None
 
@@ -174,8 +179,7 @@ class SensorDevice:
                 "MODALITY_MISMATCH",
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
-        self._stimuli.append((at, stimulus))
-        self._stimuli.sort(key=lambda x: x[0])
+        bisect.insort_right(self._stimuli, (at, stimulus), key=_time_of)
 
     # subclass hooks ------------------------------------------------------
 
@@ -193,8 +197,10 @@ class SensorDevice:
 
     def _pop_stimuli(self, t: int) -> list[tuple[int, object]]:
         """Drain queued stimuli with timestamp <= t, oldest first."""
-        due = [s for s in self._stimuli if s[0] <= t]
-        self._stimuli = [s for s in self._stimuli if s[0] > t]
+        queue = self._stimuli
+        cut = bisect.bisect_right(queue, t, key=_time_of)
+        due = queue[:cut]
+        del queue[:cut]
         return due
 
 

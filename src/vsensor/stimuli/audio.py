@@ -81,7 +81,11 @@ def synth_audio(
     duration_ms: int | None = None,
     noise_sigma: float = NOISE_SIGMA,
 ) -> FeatureWindow:
-    """Embed per-word signatures at the scripted start times, plus noise.
+    """Embed per-word signatures on the feature hop, plus noise.
+
+    A word scripted at ``start_ms`` starts at feature frame
+    ``start_ms // HOP_MS``, the 20 ms hop at or before its scripted time:
+    a word scripted at 1,698 ms is embedded from 1,680 ms.
 
     Script words may be vocabulary words or distractor ids (anything with
     a signature, e.g. "often").

@@ -10,7 +10,7 @@ sets through the standard decode table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,10 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import itemgetter
 from typing import Callable
+
+_time_of = itemgetter(0)
 
 
 class LogicLevel(IntEnum):
@@ -79,8 +82,7 @@ class PinTrace:
 
     def level_at(self, t: int) -> LogicLevel:
         """Level in force at time t (last transition at or before t)."""
-        times = [tt for tt, _ in self.transitions]
-        i = bisect.bisect_right(times, t)
+        i = bisect.bisect_right(self.transitions, t, key=_time_of)
         if i == 0:
             return self.initial_level
         return self.transitions[i - 1][1]
@@ -133,9 +135,7 @@ def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInte
             start = None
     if start is not None:
         end = run_end if run_end is not None else trace.last_time()
-        if end > start:
-            out.append(HighInterval(start, end, open_ended=True))
-        elif end == start:
+        if end >= start:
             out.append(HighInterval(start, end, open_ended=True))
     return out
 
@@ -161,7 +161,8 @@ class Bus:
         self.i2c_log: list[tuple[int, I2CTransaction]] = []
         self.virtual_lines: dict[str, Callable[["Bus"], PinTrace]] = {}
         self._steppers: list[tuple[int, Callable[[int], None]]] = []
-        self._next_step: list[int] = []
+        # (due_ms, attach index): steppers due together run in attach order
+        self._due: list[tuple[int, int]] = []
 
     # -- lines -----------------------------------------------------------
 
@@ -192,8 +193,8 @@ class Bus:
         if cadence_ms < 1:
             raise BusError("cadence must be >= 1 ms")
         first = (self.clock // cadence_ms + 1) * cadence_ms
+        heapq.heappush(self._due, (first, len(self._steppers)))
         self._steppers.append((cadence_ms, fn))
-        self._next_step.append(first)
 
     def attach_serial(self, address: int, responder: object) -> None:
         if not (I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX):
@@ -214,27 +215,22 @@ class Bus:
             raise BusError("dt must be >= 1")
         start = self.clock
         end = start + dt
-        while True:
-            due = [
-                (t, i)
-                for i, t in enumerate(self._next_step)
-                if t <= end
-            ]
-            if not due:
-                break
-            t = min(tt for tt, _ in due)
+        due = self._due
+        while due and due[0][0] <= end:
+            t, i = due[0]
+            cadence, fn = self._steppers[i]
             self.clock = t
-            for tt, i in due:
-                if tt == t:
-                    cadence, fn = self._steppers[i]
-                    fn(t)
-                    self._next_step[i] = t + cadence
+            fn(t)
+            # (t, i) is still the minimum: a stepper attached by fn is due
+            # after t.  A stepper that raises stays due at t.
+            heapq.heapreplace(due, (t + cadence, i))
         self.clock = end
         out: list[tuple[int, str, LogicLevel]] = []
-        for line_id in self.lines:
-            for t, lvl in self.lines[line_id].transitions:
-                if start < t <= end:
-                    out.append((t, line_id, lvl))
+        for line_id, trace in self.lines.items():
+            tr = trace.transitions
+            lo = bisect.bisect_right(tr, start, key=_time_of)
+            hi = bisect.bisect_right(tr, end, lo, key=_time_of)
+            out += [(t, line_id, lvl) for t, lvl in tr[lo:hi]]
         out.sort(key=lambda x: (x[0], x[1]))
         return out
 

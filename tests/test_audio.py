@@ -48,6 +48,16 @@ class TestSynthAudio:
         with pytest.raises(ValueError):
             FeatureWindow(np.zeros((10, 5)))
 
+    def test_word_starts_on_hop_at_or_before_script_time(self):
+        # scripted at 1,698 ms, the word is embedded from frame 84 (1,680 ms)
+        clean = synth_audio([("on", 1698)], VOCAB, seed=0, noise_sigma=0.0)
+        voiced = np.flatnonzero(np.linalg.norm(clean.frames, axis=1))
+        assert voiced[0] == 84 and voiced[0] * clean.hop_ms == 1680
+        for seed in range(25):
+            ev = detect_keyword(synth_audio([("on", 1698)], VOCAB, seed), TEMPLATES)
+            assert ev is not None and ev.word == "on"
+            assert abs(ev.at_ms - 1680) <= 40, (seed, ev.at_ms)
+
 
 class TestDetectKeywords:
     def test_single_word_closed_loop(self):

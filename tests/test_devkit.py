@@ -137,6 +137,24 @@ class TestDeviceLifecycle:
         assert e.value.code == "MODALITY_MISMATCH"
 
 
+class TestStimulusQueue:
+    def test_pop_due_in_time_order_fifo_among_ties(self):
+        dev = _StubDevice()
+        feeds = [(30, "a"), (10, "b"), (20, "c"), (10, "d"), (30, "e"),
+                 (5, "f"), (20, "g"), (40, "h"), (10, "i")]
+        for at, name in feeds:
+            dev.feed_stimulus(name, at)
+        assert dev._pop_stimuli(4) == []
+        assert dev._pop_stimuli(20) == [
+            (5, "f"), (10, "b"), (10, "d"), (10, "i"), (20, "c"), (20, "g"),
+        ]
+        assert dev._pop_stimuli(20) == []
+        dev.feed_stimulus("j", 30)
+        dev.feed_stimulus("k", 25)
+        assert dev._pop_stimuli(30) == [(25, "k"), (30, "a"), (30, "e"), (30, "j")]
+        assert dev._pop_stimuli(10**9) == [(40, "h")]
+
+
 class TestAudit:
     INTERFACE = InterfaceDecl(
         pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),

@@ -1,0 +1,72 @@
+"""Coarse complexity guards for the bus and trace core.
+
+Each workload is sized so that linear-time code finishes in well under a
+second, while code that rescans or re-sorts per operation takes several
+seconds or more.  The 3 s bound is loose on purpose, so that a slow or
+shared machine does not make these flaky.
+"""
+
+import time
+
+from vsensor.compose import gated_event
+from vsensor.sensors import tap_sensor
+from vsensor.stimuli.imu import synth_imu
+from vsensor.vbus import HIGH, LOW, Bus, PinTrace
+
+BOUND_S = 3.0
+N = 20_000
+
+
+def _toggling_trace(line_id, n, offset):
+    trace = PinTrace(line_id)
+    for k in range(n):
+        trace.append(offset + 7 * k, HIGH if k % 2 == 0 else LOW)
+    return trace
+
+
+def _elapsed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def test_gated_event_is_linear():
+    event = _toggling_trace("e", N, 0)
+    gate = _toggling_trace("g", N, 3)
+    out = []
+    assert _elapsed(lambda: out.append(gated_event(event, gate, 50))) < BOUND_S
+    # every event edge but the first, at 0 ms, sees a gate pulse 11 ms earlier
+    assert out[0].rising_edges() == event.rising_edges()[1:]
+
+
+def test_feed_stimulus_is_linear():
+    device = tap_sensor()
+    window = synth_imu([], 100, 0.0, 0)
+
+    def feed():
+        for k in range(N):
+            device.feed_stimulus(window, 10 * k)
+
+    assert _elapsed(feed) < BOUND_S
+    assert len(device._pop_stimuli(10 * N)) == N
+
+
+def test_level_at_is_logarithmic():
+    trace = _toggling_trace("x", N, 0)
+    answers = []
+    elapsed = _elapsed(lambda: answers.extend(trace.level_at(q) for q in range(N)))
+    assert elapsed < BOUND_S
+    assert answers[:8] == [HIGH] * 7 + [LOW]
+
+
+def test_long_advance_is_linear():
+    bus = Bus()
+    bus.add_line("x")
+    bus.attach_stepper(10, lambda t: bus.drive("x", 1 - bus.lines["x"].current_level(), t))
+
+    def run():
+        for _ in range(2_000_000 // 100):  # 2,000 simulated seconds
+            bus.advance(100)
+
+    assert _elapsed(run) < BOUND_S
+    assert len(bus.lines["x"].transitions) == 200_000

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsensor.vbus import (
     HIGH,
@@ -202,3 +206,100 @@ class TestBus:
         assert "derived" in bus.trace_csv()
         with pytest.raises(BusError, match="duplicate"):
             bus.add_virtual_line("src", compute)
+
+
+# A stepper: (cadence_ms, lead_ms, pattern).  At its k-th call, time t, it
+# drives its own line to pattern[k % len(pattern)] at t + lead_ms; a
+# non-zero lead dates the edge past the clock, as the tap devices do.
+_STEPPER = st.tuples(
+    st.integers(1, 40),
+    st.integers(0, 30),
+    st.lists(st.sampled_from([LOW, HIGH]), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _runs(draw):
+    steppers = draw(st.lists(_STEPPER, min_size=1, max_size=4))
+    total = draw(st.integers(1, 400))
+    cuts = draw(st.lists(st.integers(1, max(1, total - 1)), max_size=12, unique=True))
+    bounds = [0] + sorted(c for c in cuts if c < total) + [total]
+    splits = [b - a for a, b in zip(bounds, bounds[1:])]
+    return steppers, total, splits
+
+
+def _simulate(steppers, splits):
+    bus = Bus()
+    calls = []
+
+    def make(i, lead, pattern):
+        levels = itertools.cycle(pattern)
+
+        def step(t):
+            calls.append((t, i))
+            bus.drive(f"l{i}", next(levels), t + lead)
+
+        return step
+
+    for i, (cadence, lead, pattern) in enumerate(steppers):
+        bus.add_line(f"l{i}")
+        bus.attach_stepper(cadence, make(i, lead, pattern))
+    returned = [bus.advance(dt) for dt in splits]
+    traces = {lid: list(tr.transitions) for lid, tr in bus.lines.items()}
+    return traces, calls, returned, bus.clock
+
+
+class TestAdvanceProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_runs())
+    def test_split_independence(self, run):
+        steppers, total, splits = run
+        traces, calls, returned, clock = _simulate(steppers, splits)
+        whole_traces, whole_calls, [whole_returned], _ = _simulate(steppers, [total])
+        assert clock == total
+        assert traces == whole_traces
+        assert calls == whole_calls
+        assert sum(returned, []) == whole_returned
+        # steppers run in time order, ties in attach order
+        expected_calls = sorted(
+            (k * cadence, i)
+            for i, (cadence, _, _) in enumerate(steppers)
+            for k in range(1, total // cadence + 1)
+        )
+        assert calls == expected_calls
+        # each call returns exactly the final traces' edges in its window
+        start = 0
+        for dt, got in zip(splits, returned):
+            brute = sorted(
+                (t, lid, lvl)
+                for lid, trs in traces.items()
+                for t, lvl in trs
+                if start < t <= start + dt
+            )
+            assert got == brute
+            start += dt
+
+    def test_same_ms_steppers_run_in_attach_order(self):
+        bus = Bus()
+        calls = []
+        bus.attach_stepper(10, lambda t: calls.append(("slow", t)))
+        bus.attach_stepper(5, lambda t: calls.append(("fast", t)))
+        bus.attach_stepper(10, lambda t: calls.append(("late", t)))
+        bus.advance(20)
+        assert calls == [
+            ("fast", 5),
+            ("slow", 10), ("fast", 10), ("late", 10),
+            ("fast", 15),
+            ("slow", 20), ("fast", 20), ("late", 20),
+        ]
+
+    def test_future_edge_returned_in_its_window(self):
+        bus = Bus()
+        bus.add_line("tap")
+        bus.attach_stepper(
+            10, lambda t: t == 10 and bus.drive("tap", HIGH, 900)
+        )
+        assert bus.advance(10) == []
+        assert bus.advance(880) == []
+        assert bus.advance(10) == [(900, "tap", HIGH)]
+        assert bus.advance(100) == []
