@@ -29,7 +29,6 @@ from .devkit import (  # noqa: F401
     SensorDevice,
     SerialDecl,
     audit,
-    declared_surface,
     pack_blob,
     power_on,
     unpack_blob,

@@ -118,15 +118,10 @@ def _cmd_conformance(args) -> int:
         doc["seed"] = args.seed
     try:
         protocol = conf_mod.TestProtocol.from_doc(doc)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         print(f"error: bad protocol: {e}", file=sys.stderr)
         return EXIT_USAGE
-    from .sensors import gaze_detector, person_detector
-
-    factory = {"PERSON": person_detector, "GAZE": gaze_detector}[
-        protocol.sensor_kind.name
-    ]
-    report = conf_mod.run(factory, protocol)
+    report = conf_mod.run(conf_mod.GRID_FACTORIES[protocol.sensor_kind], protocol)
     _write(Path(args.out), report.to_json(), args.quiet)
     return EXIT_OK
 

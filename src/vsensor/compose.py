@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vbus import HIGH, LOW, Bus, PinTrace
+from .vbus import HIGH, LOW, Bus, PinTrace, high_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
 
@@ -39,21 +39,6 @@ def _trace_from_intervals(
     return trace
 
 
-def _high_spans(trace: PinTrace) -> list[tuple[int, int | None]]:
-    """[s, e) HIGH spans with None for a still-open final span."""
-    spans: list[tuple[int, int | None]] = []
-    start: int | None = 0 if trace.initial_level == HIGH else None
-    for t, lvl in trace.transitions:
-        if lvl == HIGH and start is None:
-            start = t
-        elif lvl == LOW and start is not None:
-            spans.append((start, t))
-            start = None
-    if start is not None:
-        spans.append((start, None))
-    return spans
-
-
 def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     """One-tick pulse per event rising edge with the gate recently HIGH.
 
@@ -65,7 +50,7 @@ def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     # Rising edges and gate spans are both time-ordered and window starts
     # never decrease, so a span that ends at or before one window's start
     # is behind every later window too: one pointer walks the spans.
-    spans = _high_spans(gate)
+    spans = high_spans(gate)
     j = 0
     pulses = []
     for t in event.rising_edges():
@@ -108,7 +93,7 @@ def pulse_stretch(line: PinTrace, ms: int) -> PinTrace:
     rising = set(line.rising_edges())
     spans = [
         (s, None if e is None else (max(e, s + ms) if s in rising else e))
-        for s, e in _high_spans(line)
+        for s, e in high_spans(line)
     ]
     out = _trace_from_intervals(f"stretch({line.line_id})", spans)
     out.initial_level = line.initial_level

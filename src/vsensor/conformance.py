@@ -11,18 +11,20 @@ rather than an empty room.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .datasheet import canonical_json
 from .devkit import DeviceError, DeviceKind, SensorDevice, power_on
+from .sensors import gaze_detector, person_detector
 from .stimuli.scene import SceneParams, render_scene
 from .vbus import Bus
 
 TOOL_VERSION = "1.0"
 DEFAULT_NOISE_SIGMA = 4.0
-GRID_KINDS = (DeviceKind.PERSON, DeviceKind.GAZE)
+# the kinds a distance/lux grid applies to, with the factory that builds one
+GRID_FACTORIES = {DeviceKind.PERSON: person_detector, DeviceKind.GAZE: gaze_detector}
 
 
 @dataclass
@@ -46,38 +48,21 @@ class TestProtocol:
             raise ValueError("trials_per_cell must be >= 10")
         if not (0.0 < self.positive_fraction < 1.0):
             raise ValueError("positive_fraction must be in (0, 1)")
-        if self.sensor_kind not in GRID_KINDS:
+        if self.sensor_kind not in GRID_FACTORIES:
             raise ValueError(
-                f"distance/lux grid applies to {[k.name for k in GRID_KINDS]}, "
+                f"distance/lux grid applies to {[k.name for k in GRID_FACTORIES]}, "
                 f"not {self.sensor_kind.name}"
             )
+        for distance_m in self.distance_levels_m:
+            for lux in self.lux_levels:  # the scene's own bounds
+                SceneParams(True, False, distance_m, lux, self.noise_sigma)
 
     def to_doc(self) -> dict:
-        return {
-            "sensor_kind": self.sensor_kind.name,
-            "distance_levels_m": list(self.distance_levels_m),
-            "lux_levels": list(self.lux_levels),
-            "trials_per_cell": self.trials_per_cell,
-            "positive_fraction": self.positive_fraction,
-            "latency_budget_ms": self.latency_budget_ms,
-            "negative_window_ms": self.negative_window_ms,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "sensor_kind": self.sensor_kind.name}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TestProtocol":
-        return cls(
-            sensor_kind=DeviceKind[doc["sensor_kind"]],
-            distance_levels_m=list(doc["distance_levels_m"]),
-            lux_levels=list(doc["lux_levels"]),
-            trials_per_cell=doc.get("trials_per_cell", 200),
-            positive_fraction=doc.get("positive_fraction", 0.5),
-            latency_budget_ms=doc.get("latency_budget_ms", 1000),
-            negative_window_ms=doc.get("negative_window_ms", 5000),
-            noise_sigma=doc.get("noise_sigma", DEFAULT_NOISE_SIGMA),
-            seed=doc.get("seed", 0),
-        )
+        return cls(**{**doc, "sensor_kind": DeviceKind[doc["sensor_kind"]]})
 
 
 @dataclass
@@ -90,17 +75,6 @@ class CellResult:
     mean_latency_ms: float | None
     p95_latency_ms: int | None
 
-    def to_doc(self) -> dict:
-        return {
-            "distance_m": self.distance_m,
-            "lux": self.lux,
-            "trials": self.trials,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "mean_latency_ms": self.mean_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-        }
-
 
 @dataclass
 class OperatingEnvelope:
@@ -108,14 +82,6 @@ class OperatingEnvelope:
     min_lux: float
     tpr_min: float
     fpr_max: float
-
-    def to_doc(self) -> dict:
-        return {
-            "max_distance_m": self.max_distance_m,
-            "min_lux": self.min_lux,
-            "tpr_min": self.tpr_min,
-            "fpr_max": self.fpr_max,
-        }
 
 
 @dataclass
@@ -132,12 +98,11 @@ class ConformanceReport:
         raise KeyError((distance_m, lux))
 
     def to_doc(self) -> dict:
+        env = self.envelope_summary
         return {
             "protocol": self.protocol.to_doc(),
-            "cells": [c.to_doc() for c in self.cells],
-            "envelope": self.envelope_summary.to_doc()
-            if self.envelope_summary
-            else None,
+            "cells": [asdict(c) for c in self.cells],
+            "envelope": asdict(env) if env else None,
             "tool_version": self.tool_version,
         }
 
@@ -146,28 +111,12 @@ class ConformanceReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ConformanceReport":
-        cells = [
-            CellResult(
-                c["distance_m"],
-                c["lux"],
-                c["trials"],
-                c["tpr"],
-                c["fpr"],
-                c["mean_latency_ms"],
-                c["p95_latency_ms"],
-            )
-            for c in doc["cells"]
-        ]
         env = doc.get("envelope")
         return cls(
             TestProtocol.from_doc(doc["protocol"]),
-            cells,
+            [CellResult(**c) for c in doc["cells"]],
             doc.get("tool_version", TOOL_VERSION),
-            OperatingEnvelope(
-                env["max_distance_m"], env["min_lux"], env["tpr_min"], env["fpr_max"]
-            )
-            if env
-            else None,
+            OperatingEnvelope(**env) if env else None,
         )
 
 
@@ -203,19 +152,7 @@ def _run_trial(
     trace = None
     while t < window:
         frame_seed = int(rng.integers(0, 2**63))
-        device.feed_stimulus(
-            render_scene(
-                SceneParams(
-                    scene.person_present,
-                    scene.facing_camera,
-                    scene.distance_m,
-                    scene.illuminance_lux,
-                    scene.noise_sigma,
-                    frame_seed,
-                )
-            ),
-            t,
-        )
+        device.feed_stimulus(render_scene(replace(scene, seed=frame_seed)), t)
         bus.advance(frame_period)
         t += frame_period
         trace = bus.trace("out")
@@ -350,21 +287,6 @@ class CellDelta:
 class Comparison:
     deltas: list[CellDelta]
     dominated_cells: int = 0  # cells where b is no better on any metric
-
-    def to_doc(self) -> dict:
-        return {
-            "deltas": [
-                {
-                    "distance_m": d.distance_m,
-                    "lux": d.lux,
-                    "tpr_delta": d.tpr_delta,
-                    "fpr_delta": d.fpr_delta,
-                    "latency_delta_ms": d.latency_delta_ms,
-                }
-                for d in self.deltas
-            ],
-            "dominated_cells": self.dominated_cells,
-        }
 
 
 def compare(a: ConformanceReport, b: ConformanceReport) -> Comparison:

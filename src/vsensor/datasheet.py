@@ -11,23 +11,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .devkit import InterfaceDecl, PinRole, SensorDevice, audit
+from .devkit import InterfaceDecl, PinRole, SensorDevice, _line_matches_pin, audit
 from .vbus import ExposureRecord
 
 SCHEMA_VERSION = 1
 
-SECTIONS = (
-    "overview",
-    "compliance",
-    "model_characteristics",
-    "dataset_nutrition",
-    "privacy_security_label",
-    "environmental_impact",
-    "end_to_end_performance",
-    "form_factor",
-    "hardware_characteristics",
-    "comm_spec_pinout",
-)
+_SECTION_TITLES = {
+    "overview": "Overview",
+    "compliance": "Compliance",
+    "model_characteristics": "Model Characteristics",
+    "dataset_nutrition": "Dataset Nutrition",
+    "privacy_security_label": "Privacy & Security Label",
+    "environmental_impact": "Environmental Impact",
+    "end_to_end_performance": "End-to-End Performance",
+    "form_factor": "Form Factor",
+    "hardware_characteristics": "Hardware Characteristics",
+    "comm_spec_pinout": "Communication Spec & Pinout",
+}
+SECTIONS = tuple(_SECTION_TITLES)
 
 # required fields per section; a value of "unreported" satisfies the
 # environmental-impact fields (section must exist, calculator does not)
@@ -61,20 +62,6 @@ _REQUIRED_FIELDS = {
     ),
     "comm_spec_pinout": ("pins", "serial", "timing", "declared_outputs"),
 }
-
-_SECTION_TITLES = {
-    "overview": "Overview",
-    "compliance": "Compliance",
-    "model_characteristics": "Model Characteristics",
-    "dataset_nutrition": "Dataset Nutrition",
-    "privacy_security_label": "Privacy & Security Label",
-    "environmental_impact": "Environmental Impact",
-    "end_to_end_performance": "End-to-End Performance",
-    "form_factor": "Form Factor",
-    "hardware_characteristics": "Hardware Characteristics",
-    "comm_spec_pinout": "Communication Spec & Pinout",
-}
-
 
 class DatasheetError(Exception):
     """Datasheet misuse; ``code`` is a stable machine-readable identifier."""
@@ -296,11 +283,6 @@ def _interface_doc(interface: InterfaceDecl, timing: dict[str, int]) -> dict:
     return doc
 
 
-def _declared_interface(pinout: dict) -> tuple[list[tuple[str, str]], dict | None]:
-    pins = [(p["name"], p["role"]) for p in pinout.get("pins", [])]
-    return pins, pinout.get("serial")
-
-
 def cross_check(
     ds: Datasheet,
     device: SensorDevice,
@@ -316,37 +298,20 @@ def cross_check(
     findings: list[Finding] = []
     interface = device.interface
     pinout = ds.doc["comm_spec_pinout"]
-    ds_pins, ds_serial = _declared_interface(pinout)
-    dev_pins = [(n, r.value) for n, r in interface.pins]
-    if ds_pins != dev_pins:
-        findings.append(
-            Finding(
-                "PINOUT_MISMATCH",
-                f"datasheet pins {ds_pins} != device pins {dev_pins}",
+    truth = _interface_doc(interface, device.timing())
+
+    def pins(doc: dict) -> list[tuple[str, str]]:
+        return [(p["name"], p["role"]) for p in doc.get("pins", [])]
+
+    for key, code, declared, actual in (
+        ("pins", "PINOUT_MISMATCH", pins(pinout), pins(truth)),
+        ("serial", "PINOUT_MISMATCH", pinout.get("serial"), truth["serial"]),
+        ("timing", "TIMING_MISMATCH", pinout.get("timing", {}), truth["timing"]),
+    ):
+        if declared != actual:
+            findings.append(
+                Finding(code, f"datasheet {key} {declared} != device {key} {actual}")
             )
-        )
-    dev_serial = None
-    if interface.serial is not None:
-        dev_serial = {
-            "address": interface.serial.address,
-            "register_map_len": interface.serial.register_map_len,
-            "packet_spec_id": interface.serial.packet_spec_id,
-        }
-    if ds_serial != dev_serial:
-        findings.append(
-            Finding(
-                "PINOUT_MISMATCH",
-                f"datasheet serial {ds_serial} != device serial {dev_serial}",
-            )
-        )
-    ds_timing = pinout.get("timing", {})
-    if ds_timing != device.timing():
-        findings.append(
-            Finding(
-                "TIMING_MISMATCH",
-                f"datasheet timing {ds_timing} != device timing {device.timing()}",
-            )
-        )
     verdict = audit(run_log, interface, wiring)
     findings.extend(Finding(f.code, f.message) for f in verdict.findings)
     findings.extend(_exposure_findings(ds, device, run_log, wiring))
@@ -369,11 +334,10 @@ def _exposure_findings(
         if rec.channel == "PIN":
             pin = line_to_pin.get(rec.detail)
             if pin is None:
-                for candidate in device.interface.signal_pins():
-                    if rec.detail == candidate or rec.detail.endswith("." + candidate):
-                        pin = candidate
-                        break
-            token = f"PIN:{pin if pin is not None else rec.detail}"
+                pins = device.interface.signal_pins()
+                matches = (p for p in pins if _line_matches_pin(rec.detail, p))
+                pin = next(matches, rec.detail)
+            token = f"PIN:{pin}"
         else:
             token = f"{rec.channel}:{rec.detail}"
         observed.setdefault(token, rec.at)

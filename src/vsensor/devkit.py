@@ -204,11 +204,6 @@ class SensorDevice:
         return due
 
 
-def declared_surface(device: SensorDevice) -> InterfaceDecl:
-    """The declaration used by audit and datasheet cross-check."""
-    return device.interface
-
-
 def power_on(device: SensorDevice, bus: Bus, wiring: dict[str, str]) -> SensorDevice:
     """Wire and attach a device; it steps at its cadence from now on."""
     if device._powered:

@@ -9,16 +9,21 @@ it plus stable indices, never from the clock or OS entropy.
 from __future__ import annotations
 
 import hashlib
+import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
 from .sensors import (
+    TEXT_READER_DEFAULT_ADDRESS,
+    VOICE_SERIAL_DEFAULT_ADDRESS,
     PersonPinPolicy,
     gaze_detector,
     make_gaze_blob,
     make_person_blob,
     make_tap_blob,
+    make_text_reader_blob,
     make_voice_blob,
     person_detector,
     tap_sensor,
@@ -30,9 +35,7 @@ from .stimuli.audio import synth_audio
 from .stimuli.imu import synth_imu
 from .stimuli.scene import SceneParams, render_scene
 from .stimuli.sevenseg import DisplayLayout, DisplayParams, Reading, render_display
-from .vbus import Bus, Direction
-
-SCENARIO_KINDS = ("PERSON", "GAZE", "TAP", "VOICE_PIN", "VOICE_SERIAL", "TEXT_READER")
+from .vbus import Bus, BusError, Direction
 
 
 class ScenarioError(Exception):
@@ -52,48 +55,95 @@ class ScenarioResult:
     serial_reads: list[tuple[int, int, bytes]] = field(default_factory=list)
 
 
+def _with_defaults(given: object, defaults: dict, where: str) -> dict:
+    """``defaults`` overridden by ``given``, whose keys must all be known."""
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ScenarioError(f"unknown {where} key(s) {unknown}")
+    return {**defaults, **given}
+
+
+_POLICY_DEFAULTS = {"frame_period_ms": 100, "rise_frames": 2, "fall_frames": 2}
+
+
+def _policy(config: dict) -> PersonPinPolicy:
+    policy = _with_defaults(config["policy"], _POLICY_DEFAULTS, "config.policy")
+    return PersonPinPolicy(**policy)
+
+
+# scenario kind -> (config keys with their defaults, parameter blob built
+# from the config, device built from (config, blob)).  A params file
+# replaces the built blob as it is, so an empty file fails BAD_CRC.
+KINDS = {
+    "PERSON": ({"threshold": 0.8, "figure": "person", "policy": {}},
+               lambda c: make_person_blob(c["threshold"], c["figure"]),
+               lambda c, blob: person_detector(_policy(c), blob)),
+    "GAZE": ({"threshold": 0.8, "policy": {}},
+             lambda c: make_gaze_blob(c["threshold"]),
+             lambda c, blob: gaze_detector(_policy(c), blob)),
+    "TAP": ({"threshold_g": 1.0, "refractory_ms": 100, "pulse_ms": 200},
+            lambda c: make_tap_blob(c["threshold_g"], c["refractory_ms"]),
+            lambda c, blob: tap_sensor(c["pulse_ms"], blob)),
+    "VOICE_PIN": ({"threshold": 0.82},
+                  lambda c: make_voice_blob(["on", "off"], c["threshold"]),
+                  lambda c, blob: voice_sensor_pin(blob)),
+    "VOICE_SERIAL": ({"vocabulary": ["on", "off"], "threshold": 0.82,
+                      "address": VOICE_SERIAL_DEFAULT_ADDRESS},
+                     lambda c: make_voice_blob(c["vocabulary"], c["threshold"]),
+                     lambda c, blob: voice_sensor_serial(c["vocabulary"], c["address"], blob)),
+    "TEXT_READER": ({"address": TEXT_READER_DEFAULT_ADDRESS},
+                    lambda c: make_text_reader_blob(),
+                    lambda c, blob: text_reader(c["address"], blob)),
+}
+
+# combinator -> (function, keys naming its input lines, numeric keys with
+# their defaults).  gaze_voice takes device ids rather than lines.
+_COMBINATORS = {
+    "gaze_voice": (compose_mod.gaze_voice_demo, ("gaze", "voice"),
+                   {"window_ms": compose_mod.DEFAULT_GAZE_WINDOW_MS}),
+    "gated_event": (compose_mod.gated_event, ("event", "gate"), {"window_ms": 0}),
+    "debounce": (compose_mod.debounce, ("line",), {"hold_ms": 0}),
+    "pulse_stretch": (compose_mod.pulse_stretch, ("line",), {"ms": 0}),
+    "sr_latch": (compose_mod.sr_latch, ("set", "reset"), {}),
+    "invert": (compose_mod.invert, ("line",), {}),
+}
+
+
+@contextmanager
+def _located(path: str):
+    """Report a malformed entry as a ScenarioError that names where it is."""
+    try:
+        yield
+    except (ScenarioError, DeviceError, BusError) as e:
+        raise ScenarioError(f"{path}: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise ScenarioError(f"{path}: {type(e).__name__}: {e}") from e
+    except struct.error as e:  # a value that does not fit its parameter field
+        raise ScenarioError(f"{path}: bad value: {e}") from e
+
+
+def _entries(doc: dict, key: str) -> list[dict]:
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise ScenarioError(f"{key} must be a list of objects")
+    return items
+
+
 def _build_device(spec: dict) -> SensorDevice:
     kind = spec.get("kind")
-    if kind not in SCENARIO_KINDS:
+    if kind not in KINDS:
         raise ScenarioError(f"unknown device kind {kind!r}")
-    cfg = spec.get("config", {})
-    policy_cfg = cfg.get("policy", {})
-    policy = PersonPinPolicy(
-        frame_period_ms=policy_cfg.get("frame_period_ms", 100),
-        rise_frames=policy_cfg.get("rise_frames", 2),
-        fall_frames=policy_cfg.get("fall_frames", 2),
-    )
+    defaults, make_blob, build = KINDS[kind]
+    config = _with_defaults(spec.get("config", {}), defaults, "config")
     params = spec.get("params")
-    blob = None
     if isinstance(params, str) and not params.startswith("builtin"):
         with open(params, "rb") as f:
             blob = f.read()
-    if kind == "PERSON":
-        if blob is None:
-            blob = make_person_blob(
-                cfg.get("threshold", 0.8), cfg.get("figure", "person")
-            )
-        return person_detector(policy, blob)
-    if kind == "GAZE":
-        if blob is None:
-            blob = make_gaze_blob(cfg.get("threshold", 0.8))
-        return gaze_detector(policy, blob)
-    if kind == "TAP":
-        if blob is None:
-            blob = make_tap_blob(
-                cfg.get("threshold_g", 1.0), cfg.get("refractory_ms", 100)
-            )
-        return tap_sensor(cfg.get("pulse_ms", 200), blob)
-    if kind == "VOICE_PIN":
-        if blob is None:
-            blob = make_voice_blob(["on", "off"], cfg.get("threshold", 0.82))
-        return voice_sensor_pin(blob)
-    if kind == "VOICE_SERIAL":
-        vocabulary = cfg.get("vocabulary", ["on", "off"])
-        if blob is None:
-            blob = make_voice_blob(vocabulary, cfg.get("threshold", 0.82))
-        return voice_sensor_serial(vocabulary, cfg.get("address", 0x2A), blob)
-    return text_reader(cfg.get("address", 0x29), blob)
+    else:
+        blob = make_blob(config)
+    return build(config, blob)
 
 
 def _default_wiring(device_id: str, device: SensorDevice) -> dict[str, str]:
@@ -111,157 +161,139 @@ def _parse_reading(text: str) -> Reading:
     return Reading(negative, whole, frac)
 
 
-def _feed_stimuli(
-    device: SensorDevice, device_id: str, specs: list[dict], seed: int
-) -> None:
-    for idx, spec in enumerate(specs):
-        modality = spec.get("modality")
-        at = spec.get("at", 0)
-        base = spec.get("seed", derive_seed(seed, device_id, idx))
-        if modality == "scene":
-            p = spec.get("params", {})
-            every = spec.get("every_ms", 100)
-            for k in range(spec.get("count", 1)):
-                frame = render_scene(
-                    SceneParams(
-                        person_present=p.get("person_present", False),
-                        facing_camera=p.get("facing_camera", False),
-                        distance_m=p.get("distance_m", 1.0),
-                        illuminance_lux=p.get("illuminance_lux", 500.0),
-                        noise_sigma=p.get("noise_sigma", 4.0),
-                        seed=derive_seed(base, k),
-                        figure=p.get("figure", "person"),
-                    )
+def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
+    modality = spec.get("modality")
+    at = spec.get("at", 0)
+    if modality == "scene":
+        p = spec.get("params", {})
+        every = spec.get("every_ms", 100)
+        for k in range(spec.get("count", 1)):
+            frame = render_scene(
+                SceneParams(
+                    person_present=p.get("person_present", False),
+                    facing_camera=p.get("facing_camera", False),
+                    distance_m=p.get("distance_m", 1.0),
+                    illuminance_lux=p.get("illuminance_lux", 500.0),
+                    noise_sigma=p.get("noise_sigma", 4.0),
+                    seed=derive_seed(base, k),
+                    figure=p.get("figure", "person"),
                 )
-                device.feed_stimulus(frame, at + k * every)
-        elif modality == "imu":
-            window = synth_imu(
-                spec.get("taps", []),
-                spec.get("duration_ms", 1000),
-                spec.get("noise_sigma", 0.03),
-                base,
             )
-            device.feed_stimulus(window, at)
-        elif modality == "audio":
-            script = [(w, t) for w, t in spec.get("script", [])]
-            window = synth_audio(
-                script,
-                spec.get("vocabulary", ["on", "off"]),
-                base,
-                spec.get("duration_ms"),
-                spec.get("noise_sigma", 0.08),
+            device.feed_stimulus(frame, at + k * every)
+    elif modality == "imu":
+        window = synth_imu(
+            spec.get("taps", []),
+            spec.get("duration_ms", 1000),
+            spec.get("noise_sigma", 0.03),
+            base,
+        )
+        device.feed_stimulus(window, at)
+    elif modality == "audio":
+        script = [(w, t) for w, t in spec.get("script", [])]
+        window = synth_audio(
+            script,
+            spec.get("vocabulary", ["on", "off"]),
+            base,
+            spec.get("duration_ms"),
+            spec.get("noise_sigma", 0.08),
+        )
+        device.feed_stimulus(window, at)
+    elif modality == "display":
+        layout_cfg = spec.get("layout", {})
+        layout = DisplayLayout(
+            x=layout_cfg.get("x", 8),
+            y=layout_cfg.get("y", 8),
+            rotation=layout_cfg.get("rotation", 0),
+            frame_width=layout_cfg.get("frame_width", 128),
+            frame_height=layout_cfg.get("frame_height", 64),
+        )
+        p = spec.get("params", {})
+        every = spec.get("every_ms", 500)
+        for k in range(spec.get("count", 1)):
+            frame = render_display(
+                _parse_reading(spec["reading"]),
+                layout,
+                DisplayParams(
+                    illuminance_lux=p.get("illuminance_lux", 500.0),
+                    noise_sigma=p.get("noise_sigma", 2.0),
+                    seed=derive_seed(base, k),
+                ),
             )
-            device.feed_stimulus(window, at)
-        elif modality == "display":
-            layout_cfg = spec.get("layout", {})
-            layout = DisplayLayout(
-                x=layout_cfg.get("x", 8),
-                y=layout_cfg.get("y", 8),
-                rotation=layout_cfg.get("rotation", 0),
-                frame_width=layout_cfg.get("frame_width", 128),
-                frame_height=layout_cfg.get("frame_height", 64),
-            )
-            p = spec.get("params", {})
-            every = spec.get("every_ms", 500)
-            for k in range(spec.get("count", 1)):
-                frame = render_display(
-                    _parse_reading(spec["reading"]),
-                    layout,
-                    DisplayParams(
-                        illuminance_lux=p.get("illuminance_lux", 500.0),
-                        noise_sigma=p.get("noise_sigma", 2.0),
-                        seed=derive_seed(base, k),
+            device.feed_stimulus(frame, at + k * every)
+    else:
+        raise ScenarioError(f"unknown stimulus modality {modality!r}")
+
+
+def _register_composites(result: ScenarioResult, specs: list) -> None:
+    for i, spec in enumerate(specs):
+        with _located(f"composites[{i}]"):
+            name = spec.get("combinator")
+            if name not in _COMBINATORS:
+                raise ScenarioError(f"unknown combinator {name!r}")
+            fn, inputs, numeric = _COMBINATORS[name]
+            keys = {"combinator": name, "line_id": None, **dict.fromkeys(inputs), **numeric}
+            args = _with_defaults(spec, keys, name)
+            missing = [k for k in ("line_id", *inputs) if not args[k]]
+            if missing:
+                raise ScenarioError(f"{name}: missing key(s) {missing}")
+            numbers = [args[k] for k in numeric]
+            if not all(isinstance(n, int) and n >= 0 for n in numbers):
+                raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
+            sources = [args[k] for k in inputs]
+            if name == "gaze_voice":
+                devices = [result.devices[s] for s in sources]
+                fn(result.bus, *devices, *numbers, args["line_id"])
+            else:
+                result.bus.add_virtual_line(
+                    args["line_id"],
+                    lambda b, fn=fn, sources=sources, numbers=numbers: fn(
+                        *map(b.trace, sources), *numbers
                     ),
                 )
-                device.feed_stimulus(frame, at + k * every)
-        else:
-            raise ScenarioError(f"unknown stimulus modality {modality!r}")
-
-
-def _register_composites(result: ScenarioResult, specs: list[dict]) -> None:
-    bus = result.bus
-    for spec in specs:
-        combinator = spec.get("combinator")
-        line_id = spec.get("line_id")
-        if not line_id:
-            raise ScenarioError("composite requires line_id")
-        if combinator == "gaze_voice":
-            compose_mod.gaze_voice_demo(
-                bus,
-                result.devices[spec["gaze"]],
-                result.devices[spec["voice"]],
-                spec.get("window_ms", compose_mod.DEFAULT_GAZE_WINDOW_MS),
-                line_id,
-            )
-        elif combinator == "gated_event":
-            bus.add_virtual_line(
-                line_id,
-                lambda b, s=spec: compose_mod.gated_event(
-                    b.trace(s["event"]), b.trace(s["gate"]), s.get("window_ms", 0)
-                ),
-            )
-        elif combinator == "debounce":
-            bus.add_virtual_line(
-                line_id,
-                lambda b, s=spec: compose_mod.debounce(
-                    b.trace(s["line"]), s.get("hold_ms", 0)
-                ),
-            )
-        elif combinator == "pulse_stretch":
-            bus.add_virtual_line(
-                line_id,
-                lambda b, s=spec: compose_mod.pulse_stretch(
-                    b.trace(s["line"]), s.get("ms", 0)
-                ),
-            )
-        elif combinator == "sr_latch":
-            bus.add_virtual_line(
-                line_id,
-                lambda b, s=spec: compose_mod.sr_latch(
-                    b.trace(s["set"]), b.trace(s["reset"])
-                ),
-            )
-        elif combinator == "invert":
-            bus.add_virtual_line(
-                line_id, lambda b, s=spec: compose_mod.invert(b.trace(s["line"]))
-            )
-        else:
-            raise ScenarioError(f"unknown combinator {combinator!r}")
 
 
 def run_scenario(doc: dict) -> ScenarioResult:
     """Build and run a scenario document to completion."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("a scenario must be an object")
     duration = doc.get("duration_ms", 0)
     if not isinstance(duration, int) or duration < 1:
         raise ScenarioError("duration_ms must be an integer >= 1")
     seed = doc.get("seed", 0)
     bus = Bus()
     result = ScenarioResult(bus, {}, {})
-    for spec in doc.get("devices", []):
-        device_id = spec.get("id")
-        if not device_id or device_id in result.devices:
-            raise ScenarioError(f"missing or duplicate device id {device_id!r}")
-        device = _build_device(spec)
-        wiring = spec.get("wiring") or _default_wiring(device_id, device)
-        try:
+    for i, spec in enumerate(_entries(doc, "devices")):
+        with _located(f"devices[{i}]"):
+            device_id = spec.get("id")
+            if not device_id or device_id in result.devices:
+                raise ScenarioError(f"missing or duplicate device id {device_id!r}")
+            device = _build_device(spec)
+            wiring = spec.get("wiring") or _default_wiring(device_id, device)
             power_on(device, bus, wiring)
-        except DeviceError as e:
-            raise ScenarioError(str(e)) from e
+            stimuli = _entries(spec, "stimuli")
         result.devices[device_id] = device
         result.wiring[device_id] = wiring
-        _feed_stimuli(device, device_id, spec.get("stimuli", []), seed)
-    _register_composites(result, doc.get("composites", []))
-    reads = sorted(doc.get("serial_reads", []), key=lambda r: r["at"])
+        for j, stimulus in enumerate(stimuli):
+            with _located(f"devices[{i}].stimuli[{j}]"):
+                base = stimulus.get("seed", derive_seed(seed, device_id, j))
+                _feed_stimulus(device, stimulus, base)
+    _register_composites(result, _entries(doc, "composites"))
+    reads = _entries(doc, "serial_reads")
+    for i, read in enumerate(reads):
+        at, address, n = read.get("at"), read.get("address"), read.get("n", 1)
+        integers = isinstance(at, int) and isinstance(address, int) and isinstance(n, int)
+        if not (integers and 0 < at <= duration):
+            raise ScenarioError(
+                f"serial_reads[{i}]: needs integers at in (0, {duration}], address and n"
+            )
     clock = 0
-    for read in reads:
-        at = read["at"]
-        if not (0 < at <= duration):
-            raise ScenarioError(f"serial read at t={at} outside run (0, {duration}]")
+    for read in sorted(reads, key=lambda r: r["at"]):
+        at, address = read["at"], read["address"]
         if at > clock:
             bus.advance(at - clock)
             clock = at
-        txn = bus.i2c_transfer(read["address"], Direction.READ, read.get("n", 1))
-        result.serial_reads.append((at, read["address"], txn.payload))
+        txn = bus.i2c_transfer(address, Direction.READ, read.get("n", 1))
+        result.serial_reads.append((at, address, txn.payload))
     if clock < duration:
         bus.advance(duration - clock)
     return result

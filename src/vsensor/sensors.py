@@ -477,11 +477,3 @@ def text_reader(
     device = TextReaderDevice(address)
     device.load_parameters(params if params is not None else make_text_reader_blob())
     return device
-
-
-DEFAULT_BLOBS = {
-    DeviceKind.PERSON: make_person_blob,
-    DeviceKind.GAZE: make_gaze_blob,
-    DeviceKind.TAP: make_tap_blob,
-    DeviceKind.TEXT_READER: make_text_reader_blob,
-}

@@ -118,6 +118,21 @@ class PinTrace:
         return [t for t, lvl in self.transitions if lvl == LOW]
 
 
+def high_spans(trace: PinTrace) -> list[tuple[int, int | None]]:
+    """Half-open [s, e) HIGH spans; e is None for a span still open at the end."""
+    spans: list[tuple[int, int | None]] = []
+    start: int | None = 0 if trace.initial_level == HIGH else None
+    for t, lvl in trace.transitions:
+        if lvl == HIGH and start is None:
+            start = t
+        elif lvl == LOW and start is not None:
+            spans.append((start, t))
+            start = None
+    if start is not None:
+        spans.append((start, None))
+    return spans
+
+
 def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInterval]:
     """Half-open [t0, t1) intervals during which the trace is HIGH.
 
@@ -125,15 +140,10 @@ def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInte
     at ``run_end`` and flagged open-ended.  ``run_end`` defaults to the
     last transition time.
     """
-    out: list[HighInterval] = []
-    start: int | None = 0 if trace.initial_level == HIGH else None
-    for t, lvl in trace.transitions:
-        if lvl == HIGH and start is None:
-            start = t
-        elif lvl == LOW and start is not None:
-            out.append(HighInterval(start, t))
-            start = None
-    if start is not None:
+    spans = high_spans(trace)
+    out = [HighInterval(s, e) for s, e in spans if e is not None]
+    if spans and spans[-1][1] is None:
+        start = spans[-1][0]
         end = run_end if run_end is not None else trace.last_time()
         if end >= start:
             out.append(HighInterval(start, end, open_ended=True))

@@ -64,6 +64,71 @@ class TestSimulate:
         assert "0001234c50000000" in (tmp_path / "i2c.csv").read_text()
 
 
+def _one_device(kind, config=None, stimuli=(), **doc):
+    device = {"id": "d", "kind": kind, "stimuli": list(stimuli)}
+    if config is not None:
+        device["config"] = config
+    return {"duration_ms": 200, "devices": [device], **doc}
+
+
+def _grid(**extra):
+    return {"sensor_kind": "PERSON", "distance_levels_m": [1.0], "lux_levels": [800],
+            "trials_per_cell": 10, **extra}
+
+
+SCENE = {"modality": "scene", "params": {"person_present": True, "distance_m": 50}}
+GATED = {"combinator": "gated_event", "line_id": "g", "event": "d.TAP", "gate": "d.TAP"}
+
+MALFORMED = [
+    ("scene_distance", "simulate", _one_device("PERSON", stimuli=[SCENE]),
+     "devices[0].stimuli[0]: ValueError: distance_m"),
+    ("display_no_reading", "simulate",
+     _one_device("TEXT_READER", stimuli=[{"modality": "display"}]), "'reading'"),
+    ("gaze_voice_unknown_device", "simulate",
+     _one_device("GAZE", composites=[{"combinator": "gaze_voice", "line_id": "L",
+                                      "gaze": "d", "voice": "nope"}]),
+     "composites[0]: KeyError: 'nope'"),
+    ("read_no_address", "simulate", _one_device("TAP", serial_reads=[{"at": 50}]),
+     "serial_reads[0]: needs integers at"),
+    ("devices_not_a_list", "simulate", {"duration_ms": 200, "devices": 5}, "devices"),
+    ("threshold_string", "simulate", _one_device("PERSON", {"threshold": "high"}),
+     "devices[0]: bad value"),
+    ("figure_unknown", "simulate", _one_device("PERSON", {"figure": "cat"}), "'cat'"),
+    ("empty_vocabulary", "simulate", _one_device("VOICE_SERIAL", {"vocabulary": []}),
+     "vocabulary"),
+    ("rise_frames_zero", "simulate", _one_device("GAZE", {"policy": {"rise_frames": 0}}),
+     "policy values must be >= 1"),
+    ("pulse_ms_zero", "simulate", _one_device("TAP", {"pulse_ms": 0}), "pulse_ms"),
+    ("empty_params_file", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": "empty.mlsp"}]},
+     "BAD_CRC"),
+    ("config_key_typo", "simulate", _one_device("TAP", {"evry_ms": 100}), "'evry_ms'"),
+    ("policy_key_typo", "simulate", _one_device("PERSON", {"policy": {"rise": 3}}),
+     "unknown config.policy key(s) ['rise']"),
+    ("composite_key_typo", "simulate",
+     _one_device("TAP", composites=[{**GATED, "windw_ms": 5}]), "'windw_ms'"),
+    ("composite_missing_event", "simulate",
+     _one_device("TAP", composites=[{**GATED, "event": None}]), "['event']"),
+    ("composite_negative_window", "simulate",
+     _one_device("TAP", composites=[{**GATED, "window_ms": -1}]), "window_ms"),
+    ("protocol_distance", "conformance", _grid(distance_levels_m=[1.0, 20.0]),
+     "distance_m must be in [0.25, 10]"),
+    ("protocol_extra_key", "conformance", _grid(extra=1), "'extra'"),
+]
+
+
+@pytest.mark.parametrize("command,doc,expected", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_input_exit_2(command, doc, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.mlsp").write_bytes(b"")
+    (tmp_path / "doc.json").write_text(canonical_json(doc))
+    assert run(command, "doc.json", "--out", "out", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert expected in err
+
+
 class TestDatasheetCommands:
     def test_validate_good_fixture(self, capsys):
         assert run("datasheet", "validate", FIXTURES / "person.mlsd.json") == 0

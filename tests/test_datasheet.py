@@ -17,9 +17,10 @@ from vsensor.datasheet import (
     validate,
 )
 from vsensor.devkit import power_on
-from vsensor.sensors import person_detector, tap_sensor, text_reader
+from vsensor.scenario import KINDS
+from vsensor.sensors import person_detector, text_reader
 from vsensor.stimuli.scene import SceneParams, render_scene
-from vsensor.vbus import Bus
+from vsensor.vbus import Bus, ExposureRecord
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -161,6 +162,17 @@ class TestCrossCheck:
         findings = cross_check(ds, dev, bus.exposure_log, wiring)
         assert [f.code for f in findings] == ["TIMING_MISMATCH"]
 
+    def test_unwired_line_maps_to_pin_by_suffix(self):
+        dev = person_detector()
+        ds = Datasheet(datasheet_for_device(dev))
+        log = [ExposureRecord(100, "PIN", "p1.DETECT", 1)]
+        assert cross_check(ds, dev, log, None) == []
+        log.append(ExposureRecord(200, "PIN", "x.OTHER", 1))
+        exposure = [f for f in cross_check(ds, dev, log, None)
+                    if f.code == "UNDECLARED_EXPOSURE"]
+        assert len(exposure) == 1
+        assert "observed PIN:x.OTHER (first at t=200)" in exposure[0].message
+
     def test_undeclared_exposure(self):
         dev, bus, wiring = self.run_person()
         ds = load("person.mlsd.json")
@@ -199,15 +211,8 @@ class TestAttachPerformance:
 
 
 def test_datasheet_for_device_truthful_for_every_kind():
-    from vsensor.sensors import (
-        gaze_detector,
-        voice_sensor_pin,
-        voice_sensor_serial,
-    )
-
-    for factory in (person_detector, gaze_detector, tap_sensor, voice_sensor_pin,
-                    lambda: voice_sensor_serial(["on", "off"]), text_reader):
-        dev = factory()
+    for defaults, make_blob, build in KINDS.values():
+        dev = build(defaults, make_blob(defaults))
         ds = Datasheet(datasheet_for_device(dev))
         assert validate(ds) == []
         assert cross_check(ds, dev, []) == []
