@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import conformance as conf_mod
 from . import datasheet as ds_mod
-from .devkit import DeviceError, InterfaceDecl, PinRole, SerialDecl, audit, parse_exposure_csv
+from .devkit import DeviceError, audit, parse_exposure_csv
 from .scenario import ScenarioError, run_scenario
 from .vbus import BusError, high_intervals
 
@@ -27,14 +27,20 @@ class _CliError(Exception):
     """Usage or I/O failure; maps to exit code 2."""
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, seed: int | None = None) -> dict:
+    """The JSON object in ``path``, its ``seed`` replaced when one is given."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except OSError as e:
         raise _CliError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise _CliError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise _CliError(f"{path}: top level must be a JSON object")
+    if seed is not None:
+        doc["seed"] = seed
+    return doc
 
 
 def _write(path: Path, text: str, quiet: bool) -> None:
@@ -47,25 +53,8 @@ def _write(path: Path, text: str, quiet: bool) -> None:
         print(f"wrote {path}")
 
 
-def _interface_from_datasheet(doc: dict) -> InterfaceDecl:
-    pinout = doc.get("comm_spec_pinout")
-    if not isinstance(pinout, dict):
-        raise _CliError("datasheet has no comm_spec_pinout section")
-    try:
-        pins = [(p["name"], PinRole(p["role"])) for p in pinout["pins"]]
-        serial = pinout.get("serial")
-        decl = SerialDecl(
-            serial["address"], serial["register_map_len"], serial["packet_spec_id"]
-        ) if serial else None
-        return InterfaceDecl(pins, decl, pinout.get("declared_outputs", "-"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise _CliError(f"malformed comm_spec_pinout: {e}") from e
-
-
 def _cmd_simulate(args) -> int:
-    doc = _load_json(args.scenario)
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    doc = _load_json(args.scenario, args.seed)
     try:
         result = run_scenario(doc)
     except (ScenarioError, DeviceError, BusError) as e:
@@ -74,37 +63,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     bus = result.bus
     if args.format == "json":
-        run_doc = {
-            "traces": {
-                lid: {
-                    "initial_level": int(bus.trace(lid).initial_level),
-                    "transitions": [
-                        [t, int(lvl)] for t, lvl in bus.trace(lid).transitions
-                    ],
-                }
-                for lid in sorted(list(bus.lines) + list(bus.virtual_lines))
-            },
-            "i2c": [
-                {
-                    "time_ms": t,
-                    "address": txn.address,
-                    "direction": txn.direction.value,
-                    "status": txn.status.value,
-                    "payload_hex": txn.payload.hex(),
-                }
-                for t, txn in bus.i2c_log
-            ],
-            "exposure": [
-                {
-                    "time_ms": r.at,
-                    "channel": r.channel,
-                    "detail": r.detail,
-                    "bits": r.bits,
-                }
-                for r in bus.exposure_log
-            ],
-        }
-        _write(out / "run.json", ds_mod.canonical_json(run_doc), args.quiet)
+        _write(out / "run.json", ds_mod.canonical_json(bus.run_doc()), args.quiet)
     else:
         _write(out / "trace.csv", bus.trace_csv(), args.quiet)
         _write(out / "i2c.csv", bus.i2c_csv(), args.quiet)
@@ -113,9 +72,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_conformance(args) -> int:
-    doc = _load_json(args.protocol)
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    doc = _load_json(args.protocol, args.seed)
     try:
         protocol = conf_mod.TestProtocol.from_doc(doc)
     except (KeyError, TypeError, ValueError) as e:
@@ -173,8 +130,11 @@ def _cmd_audit(args) -> int:
         records = parse_exposure_csv(Path(args.log).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
         raise _CliError(f"cannot read exposure log: {e}") from e
-    ds_doc = _load_json(args.datasheet)
-    interface = _interface_from_datasheet(ds_doc)
+    pinout = _load_json(args.datasheet).get("comm_spec_pinout")
+    try:
+        interface = ds_mod.interface_from_pinout(pinout)
+    except ValueError as e:
+        raise _CliError(str(e)) from e
     verdict = audit(records, interface)
     for f in verdict.findings:
         print(f"{f.code}: {f.message}")
@@ -193,15 +153,11 @@ _DEMO_SCENARIO = {
             "stimuli": [
                 {
                     "modality": "scene",
-                    "at": 0,
-                    "every_ms": 100,
                     "count": 30,
                     "params": {
                         "person_present": True,
                         "facing_camera": True,
-                        "distance_m": 1.0,
                         "illuminance_lux": 800,
-                        "noise_sigma": 4.0,
                     },
                 }
             ],
@@ -212,9 +168,7 @@ _DEMO_SCENARIO = {
             "stimuli": [
                 {
                     "modality": "audio",
-                    "at": 0,
                     "script": [["on", 1000], ["off", 2200]],
-                    "vocabulary": ["on", "off"],
                 }
             ],
         },
@@ -232,9 +186,8 @@ _DEMO_SCENARIO = {
 
 
 def _cmd_compose_demo(args) -> int:
-    doc = json.loads(json.dumps(_DEMO_SCENARIO))
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    # run_scenario reads the document without changing it
+    doc = _DEMO_SCENARIO if args.seed is None else {**_DEMO_SCENARIO, "seed": args.seed}
     result = run_scenario(doc)
     out = Path(args.out)
     _write(out / "trace.csv", result.bus.trace_csv(), args.quiet)

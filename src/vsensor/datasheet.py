@@ -9,9 +9,9 @@ indent, LF line endings, one trailing newline; ``parse`` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .devkit import InterfaceDecl, PinRole, SensorDevice, _line_matches_pin, audit
+from .devkit import InterfaceDecl, PinRole, SensorDevice, SerialDecl, _line_matches_pin, audit
 from .vbus import ExposureRecord
 
 SCHEMA_VERSION = 1
@@ -96,9 +96,6 @@ class Finding:
 @dataclass
 class Datasheet:
     doc: dict
-
-    def section(self, name: str) -> dict | list | None:
-        return self.doc.get(name)
 
 
 def canonical_json(doc: dict) -> str:
@@ -268,19 +265,28 @@ def _render_human(ds: Datasheet) -> str:
 
 def _interface_doc(interface: InterfaceDecl, timing: dict[str, int]) -> dict:
     """The comm_spec_pinout section a truthful datasheet must carry."""
-    doc: dict = {
+    serial = interface.serial
+    return {
         "pins": [{"name": n, "role": r.value} for n, r in interface.pins],
-        "serial": None,
+        "serial": asdict(serial) if serial is not None else None,
         "timing": dict(timing),
         "declared_outputs": interface.declared_outputs,
     }
-    if interface.serial is not None:
-        doc["serial"] = {
-            "address": interface.serial.address,
-            "register_map_len": interface.serial.register_map_len,
-            "packet_spec_id": interface.serial.packet_spec_id,
-        }
-    return doc
+
+
+def interface_from_pinout(pinout: object) -> InterfaceDecl:
+    """Inverse of ``_interface_doc``; ValueError if absent or malformed."""
+    if not isinstance(pinout, dict):
+        raise ValueError("datasheet has no comm_spec_pinout section")
+    try:
+        pins = [(p["name"], PinRole(p["role"])) for p in pinout["pins"]]
+        serial = pinout.get("serial")
+        decl = SerialDecl(
+            serial["address"], serial["register_map_len"], serial["packet_spec_id"]
+        ) if serial else None
+        return InterfaceDecl(pins, decl, pinout.get("declared_outputs", "-"))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed comm_spec_pinout: {e}") from e
 
 
 def cross_check(

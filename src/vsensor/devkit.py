@@ -9,6 +9,7 @@ private channel that no host-side query can read back.
 from __future__ import annotations
 
 import bisect
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ BLOB_MAGIC = b"MLSP"
 BLOB_VERSION = 1
 
 _time_of = itemgetter(0)
+_HEX_ADDRESS = re.compile(r"0x[0-9a-fA-F]+")  # a SERIAL record's detail
 
 
 class DeviceKind(Enum):
@@ -314,5 +316,9 @@ def parse_exposure_csv(text: str) -> list[ExposureRecord]:
     out = []
     for ln in lines[1:]:
         at, channel, detail, bits = ln.split(",")
+        if channel not in ("PIN", "SERIAL"):
+            raise ValueError(f"unknown channel {channel!r} in {ln!r}")
+        if channel == "SERIAL" and not _HEX_ADDRESS.fullmatch(detail):
+            raise ValueError(f"SERIAL detail {detail!r} is not a hex address in {ln!r}")
         out.append(ExposureRecord(int(at), channel, detail, int(bits)))
     return out

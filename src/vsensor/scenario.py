@@ -11,14 +11,17 @@ from __future__ import annotations
 import hashlib
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
 from .sensors import (
     TEXT_READER_DEFAULT_ADDRESS,
     VOICE_SERIAL_DEFAULT_ADDRESS,
+    GazeDetectorDevice,
+    PersonDetectorDevice,
     PersonPinPolicy,
+    VoicePinDevice,
     gaze_detector,
     make_gaze_blob,
     make_person_blob,
@@ -65,11 +68,13 @@ def _with_defaults(given: object, defaults: dict, where: str) -> dict:
     return {**defaults, **given}
 
 
-_POLICY_DEFAULTS = {"frame_period_ms": 100, "rise_frames": 2, "fall_frames": 2}
+def _fields(cls, **overrides) -> dict:
+    """The fields of ``cls`` but ``seed`` (set per stimulus), with defaults."""
+    return {f.name: overrides.get(f.name, f.default) for f in fields(cls) if f.name != "seed"}
 
 
 def _policy(config: dict) -> PersonPinPolicy:
-    policy = _with_defaults(config["policy"], _POLICY_DEFAULTS, "config.policy")
+    policy = _with_defaults(config["policy"], _fields(PersonPinPolicy), "config.policy")
     return PersonPinPolicy(**policy)
 
 
@@ -154,74 +159,61 @@ def _default_wiring(device_id: str, device: SensorDevice) -> dict[str, str]:
     return wiring
 
 
-def _parse_reading(text: str) -> Reading:
+def _parse_reading(text: object) -> Reading:
+    if not isinstance(text, str):
+        raise ScenarioError("display needs a 'reading' string")
     negative = text.startswith("-")
     body = text[1:] if negative else text
     whole, _, frac = body.partition(".")
     return Reading(negative, whole, frac)
 
 
+def _scene_frames(e: dict, seed: int):
+    for k in range(e["count"]):
+        frame = render_scene(SceneParams(**e["params"], seed=derive_seed(seed, k)))
+        yield e["at"] + k * e["every_ms"], frame
+
+
+def _display_frames(e: dict, seed: int):
+    reading = _parse_reading(e["reading"])
+    layout = DisplayLayout(**e["layout"])
+    for k in range(e["count"]):
+        params = DisplayParams(**e["params"], seed=derive_seed(seed, k))
+        yield e["at"] + k * e["every_ms"], render_display(reading, layout, params)
+
+
+# modality -> (builder of (at, stimulus) pairs from (entry, seed), the
+# entry's keys besides modality, at and seed, with defaults).  A dict
+# default is a nested object checked key by key; params and layout take
+# their keys and defaults from the dataclasses.
+_MODALITIES = {
+    "scene": (_scene_frames,
+              {"every_ms": 100, "count": 1,
+               "params": _fields(SceneParams, person_present=False)}),
+    "imu": (lambda e, seed: [(e["at"], synth_imu(e["taps"], e["duration_ms"],
+                                                 e["noise_sigma"], seed))],
+            {"taps": [], "duration_ms": 1000, "noise_sigma": 0.03}),
+    "audio": (lambda e, seed: [(e["at"], synth_audio(e["script"], e["vocabulary"], seed,
+                                                     e["duration_ms"], e["noise_sigma"]))],
+              {"script": [], "vocabulary": ["on", "off"], "duration_ms": None,
+               "noise_sigma": 0.08}),
+    "display": (_display_frames,
+                {"reading": None, "every_ms": 500, "count": 1,
+                 "layout": _fields(DisplayLayout), "params": _fields(DisplayParams)}),
+}
+
+
 def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
     modality = spec.get("modality")
-    at = spec.get("at", 0)
-    if modality == "scene":
-        p = spec.get("params", {})
-        every = spec.get("every_ms", 100)
-        for k in range(spec.get("count", 1)):
-            frame = render_scene(
-                SceneParams(
-                    person_present=p.get("person_present", False),
-                    facing_camera=p.get("facing_camera", False),
-                    distance_m=p.get("distance_m", 1.0),
-                    illuminance_lux=p.get("illuminance_lux", 500.0),
-                    noise_sigma=p.get("noise_sigma", 4.0),
-                    seed=derive_seed(base, k),
-                    figure=p.get("figure", "person"),
-                )
-            )
-            device.feed_stimulus(frame, at + k * every)
-    elif modality == "imu":
-        window = synth_imu(
-            spec.get("taps", []),
-            spec.get("duration_ms", 1000),
-            spec.get("noise_sigma", 0.03),
-            base,
-        )
-        device.feed_stimulus(window, at)
-    elif modality == "audio":
-        script = [(w, t) for w, t in spec.get("script", [])]
-        window = synth_audio(
-            script,
-            spec.get("vocabulary", ["on", "off"]),
-            base,
-            spec.get("duration_ms"),
-            spec.get("noise_sigma", 0.08),
-        )
-        device.feed_stimulus(window, at)
-    elif modality == "display":
-        layout_cfg = spec.get("layout", {})
-        layout = DisplayLayout(
-            x=layout_cfg.get("x", 8),
-            y=layout_cfg.get("y", 8),
-            rotation=layout_cfg.get("rotation", 0),
-            frame_width=layout_cfg.get("frame_width", 128),
-            frame_height=layout_cfg.get("frame_height", 64),
-        )
-        p = spec.get("params", {})
-        every = spec.get("every_ms", 500)
-        for k in range(spec.get("count", 1)):
-            frame = render_display(
-                _parse_reading(spec["reading"]),
-                layout,
-                DisplayParams(
-                    illuminance_lux=p.get("illuminance_lux", 500.0),
-                    noise_sigma=p.get("noise_sigma", 2.0),
-                    seed=derive_seed(base, k),
-                ),
-            )
-            device.feed_stimulus(frame, at + k * every)
-    else:
+    if modality not in _MODALITIES:
         raise ScenarioError(f"unknown stimulus modality {modality!r}")
+    build, keys = _MODALITIES[modality]
+    entry = _with_defaults(spec, {"modality": None, "at": 0, "seed": None, **keys}, modality)
+    for key, default in keys.items():
+        if isinstance(default, dict):
+            entry[key] = _with_defaults(entry[key], default, key)
+    for at, stimulus in build(entry, base):
+        device.feed_stimulus(stimulus, at)
 
 
 def _register_composites(result: ScenarioResult, specs: list) -> None:
@@ -241,8 +233,11 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
                 raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
             sources = [args[k] for k in inputs]
             if name == "gaze_voice":
-                devices = [result.devices[s] for s in sources]
-                fn(result.bus, *devices, *numbers, args["line_id"])
+                gaze, voice = (result.devices[s] for s in sources)
+                if not (isinstance(gaze, (PersonDetectorDevice, GazeDetectorDevice))
+                        and isinstance(voice, VoicePinDevice)):
+                    raise ScenarioError("gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN")
+                fn(result.bus, gaze, voice, *numbers, args["line_id"])
             else:
                 result.bus.add_virtual_line(
                     args["line_id"],

@@ -170,16 +170,20 @@ class _DetectorPinDevice(SensorDevice):
 
     _modality = Frame
     pin_name = "DETECT"
+    declared_outputs: str  # what the DETECT bit means for this detector
 
     def __init__(self, policy: PersonPinPolicy):
         self.policy = policy
-        super().__init__(self._make_interface(), policy.frame_period_ms)
+        interface = InterfaceDecl(
+            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
+                  (self.pin_name, PinRole.SIGNAL_OUT)],
+            serial=None,
+            declared_outputs=self.declared_outputs,
+        )
+        super().__init__(interface, policy.frame_period_ms)
         self._consecutive_pos = 0
         self._consecutive_neg = 0
         self._asserted = False
-
-    def _make_interface(self) -> InterfaceDecl:
-        raise NotImplementedError
 
     def _detect(self, frame: Frame) -> Detection:
         raise NotImplementedError
@@ -212,15 +216,7 @@ class _DetectorPinDevice(SensorDevice):
 
 class PersonDetectorDevice(_DetectorPinDevice):
     kind = DeviceKind.PERSON
-    pin_name = "DETECT"
-
-    def _make_interface(self) -> InterfaceDecl:
-        return InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
-                  ("DETECT", PinRole.SIGNAL_OUT)],
-            serial=None,
-            declared_outputs="DETECT: one bit, high while a person is present",
-        )
+    declared_outputs = "DETECT: one bit, high while a person is present"
 
     def _configure(self, payload: bytes) -> None:
         threshold, figure_code = struct.unpack("<fB", payload)
@@ -233,15 +229,7 @@ class PersonDetectorDevice(_DetectorPinDevice):
 
 class GazeDetectorDevice(_DetectorPinDevice):
     kind = DeviceKind.GAZE
-    pin_name = "DETECT"
-
-    def _make_interface(self) -> InterfaceDecl:
-        return InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
-                  ("DETECT", PinRole.SIGNAL_OUT)],
-            serial=None,
-            declared_outputs="DETECT: one bit, high while someone looks at the device",
-        )
+    declared_outputs = "DETECT: one bit, high while someone looks at the device"
 
     def _configure(self, payload: bytes) -> None:
         (threshold,) = struct.unpack("<f", payload)
@@ -251,20 +239,22 @@ class GazeDetectorDevice(_DetectorPinDevice):
         return detect_gaze(frame, self._detector_params)
 
 
+def _loaded(device: SensorDevice, params: bytes | None, make_blob, *blob_args):
+    """``device`` with ``params`` loaded, or ``make_blob(*blob_args)`` if None."""
+    device.load_parameters(params if params is not None else make_blob(*blob_args))
+    return device
+
+
 def person_detector(
     policy: PersonPinPolicy | None = None, params: bytes | None = None
 ) -> PersonDetectorDevice:
-    device = PersonDetectorDevice(policy or PersonPinPolicy())
-    device.load_parameters(params if params is not None else make_person_blob())
-    return device
+    return _loaded(PersonDetectorDevice(policy or PersonPinPolicy()), params, make_person_blob)
 
 
 def gaze_detector(
     policy: PersonPinPolicy | None = None, params: bytes | None = None
 ) -> GazeDetectorDevice:
-    device = GazeDetectorDevice(policy or PersonPinPolicy())
-    device.load_parameters(params if params is not None else make_gaze_blob())
-    return device
+    return _loaded(GazeDetectorDevice(policy or PersonPinPolicy()), params, make_gaze_blob)
 
 
 # -- tap ----------------------------------------------------------------------
@@ -307,9 +297,7 @@ class TapSensorDevice(SensorDevice):
 
 
 def tap_sensor(pulse_ms: int = 200, params: bytes | None = None) -> TapSensorDevice:
-    device = TapSensorDevice(pulse_ms)
-    device.load_parameters(params if params is not None else make_tap_blob())
-    return device
+    return _loaded(TapSensorDevice(pulse_ms), params, make_tap_blob)
 
 
 # -- voice ---------------------------------------------------------------------
@@ -409,11 +397,7 @@ class VoiceSerialDevice(_VoiceCore):
 
 
 def voice_sensor_pin(params: bytes | None = None) -> VoicePinDevice:
-    device = VoicePinDevice()
-    device.load_parameters(
-        params if params is not None else make_voice_blob(["on", "off"])
-    )
-    return device
+    return _loaded(VoicePinDevice(), params, make_voice_blob, ["on", "off"])
 
 
 def voice_sensor_serial(
@@ -421,11 +405,7 @@ def voice_sensor_serial(
     address: int = VOICE_SERIAL_DEFAULT_ADDRESS,
     params: bytes | None = None,
 ) -> VoiceSerialDevice:
-    device = VoiceSerialDevice(vocabulary, address)
-    device.load_parameters(
-        params if params is not None else make_voice_blob(vocabulary)
-    )
-    return device
+    return _loaded(VoiceSerialDevice(vocabulary, address), params, make_voice_blob, vocabulary)
 
 
 # -- text reader ----------------------------------------------------------------
@@ -474,6 +454,4 @@ class TextReaderDevice(SensorDevice):
 def text_reader(
     address: int = TEXT_READER_DEFAULT_ADDRESS, params: bytes | None = None
 ) -> TextReaderDevice:
-    device = TextReaderDevice(address)
-    device.load_parameters(params if params is not None else make_text_reader_blob())
-    return device
+    return _loaded(TextReaderDevice(address), params, make_text_reader_blob)

@@ -29,6 +29,11 @@ HIGH = LogicLevel.HIGH
 I2C_ADDRESS_MIN = 0x08
 I2C_ADDRESS_MAX = 0x77
 
+# column names of the run encoders: CSV headers and JSON record fields
+TRACE_COLUMNS = ("time_ms", "line_id", "level")
+I2C_COLUMNS = ("time_ms", "address", "direction", "status", "payload_hex")
+EXPOSURE_COLUMNS = ("time_ms", "channel", "detail", "bits")
+
 
 class Direction(Enum):
     READ = "read"
@@ -150,6 +155,11 @@ def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInte
     return out
 
 
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """A header line of ``columns``, then the formatted ``rows``, LF-ended."""
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
 @dataclass
 class ExposureRecord:
     """One device emission crossing the isolation boundary."""
@@ -190,11 +200,6 @@ class Bus:
         if at < self.clock:
             raise BusError(f"time travel: drive at t={at} < clock={self.clock}")
         return self.lines[line_id].append(at, level)
-
-    def level_at(self, line_id: str, t: int) -> LogicLevel:
-        if line_id not in self.lines:
-            raise BusError(f"unknown line {line_id!r}")
-        return self.lines[line_id].level_at(t)
 
     # -- devices ---------------------------------------------------------
 
@@ -311,34 +316,51 @@ class Bus:
             return self.lines[line_id]
         return self.virtual_trace(line_id)
 
-    # -- dumps -----------------------------------------------------------
+    # -- run encoders ----------------------------------------------------
 
-    def trace_csv(self, include_virtual: bool = True) -> str:
-        """CSV dump: header time_ms,line_id,level, sorted by (time, line)."""
-        rows: list[tuple[int, str, int]] = []
-        traces = list(self.lines.values())
-        if include_virtual:
-            traces += [self.virtual_trace(lid) for lid in sorted(self.virtual_lines)]
-        for trace in traces:
-            for t, lvl in trace.transitions:
-                rows.append((t, trace.line_id, int(lvl)))
+    def traces(self) -> dict[str, PinTrace]:
+        """Every real trace, then every virtual one (computed once) by id."""
+        virtual = {lid: self.virtual_trace(lid) for lid in sorted(self.virtual_lines)}
+        return {**self.lines, **virtual}
+
+    def trace_csv(self) -> str:
+        """CSV of TRACE_COLUMNS, sorted by (time, line)."""
+        rows = [(t, lid, int(lvl)) for lid, trace in self.traces().items()
+                for t, lvl in trace.transitions]
         rows.sort(key=lambda r: (r[0], r[1]))
-        lines = ["time_ms,line_id,level"]
-        lines += [f"{t},{lid},{lvl}" for t, lid, lvl in rows]
-        return "\n".join(lines) + "\n"
+        return _csv(TRACE_COLUMNS, [f"{t},{lid},{lvl}" for t, lid, lvl in rows])
 
     def exposure_csv(self) -> str:
-        """CSV dump: header time_ms,channel,detail,bits."""
-        lines = ["time_ms,channel,detail,bits"]
-        for rec in sorted(self.exposure_log, key=lambda r: (r.at, r.channel, r.detail)):
-            lines.append(f"{rec.at},{rec.channel},{rec.detail},{rec.bits}")
-        return "\n".join(lines) + "\n"
+        """CSV of EXPOSURE_COLUMNS, sorted by (time, channel, detail)."""
+        records = sorted(self.exposure_log, key=lambda r: (r.at, r.channel, r.detail))
+        return _csv(EXPOSURE_COLUMNS,
+                    (f"{r.at},{r.channel},{r.detail},{r.bits}" for r in records))
 
     def i2c_csv(self) -> str:
-        lines = ["time_ms,address,direction,status,payload_hex"]
-        for t, txn in self.i2c_log:
-            lines.append(
-                f"{t},0x{txn.address:02x},{txn.direction.value},"
-                f"{txn.status.value},{txn.payload.hex()}"
-            )
-        return "\n".join(lines) + "\n"
+        """CSV of I2C_COLUMNS in log order."""
+        return _csv(I2C_COLUMNS, (
+            f"{t},0x{txn.address:02x},{txn.direction.value},"
+            f"{txn.status.value},{txn.payload.hex()}"
+            for t, txn in self.i2c_log
+        ))
+
+    def run_doc(self) -> dict:
+        """The run as one JSON document; I2C and exposure lists in log order."""
+        return {
+            "traces": {
+                lid: {
+                    "initial_level": int(trace.initial_level),
+                    "transitions": [[t, int(lvl)] for t, lvl in trace.transitions],
+                }
+                for lid, trace in self.traces().items()
+            },
+            "i2c": [
+                dict(zip(I2C_COLUMNS, (t, txn.address, txn.direction.value,
+                                       txn.status.value, txn.payload.hex())))
+                for t, txn in self.i2c_log
+            ],
+            "exposure": [
+                dict(zip(EXPOSURE_COLUMNS, (r.at, r.channel, r.detail, r.bits)))
+                for r in self.exposure_log
+            ],
+        }

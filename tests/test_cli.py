@@ -114,6 +114,24 @@ MALFORMED = [
     ("protocol_distance", "conformance", _grid(distance_levels_m=[1.0, 20.0]),
      "distance_m must be in [0.25, 10]"),
     ("protocol_extra_key", "conformance", _grid(extra=1), "'extra'"),
+    ("gaze_voice_over_tap", "simulate",
+     {"duration_ms": 200,
+      "devices": [{"id": "t", "kind": "TAP"}, {"id": "v", "kind": "VOICE_PIN"}],
+      "composites": [{"combinator": "gaze_voice", "line_id": "L", "gaze": "t", "voice": "v"}]},
+     "composites[0]: gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN"),
+    ("simulate_seed_on_list", "simulate --seed 3", [1], "top level must be a JSON object"),
+    ("conformance_seed_on_list", "conformance --seed 3", [1],
+     "top level must be a JSON object"),
+    ("stimulus_key_typo", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "evry_ms": 50}]),
+     "devices[0].stimuli[0]: unknown scene key(s) ['evry_ms']"),
+    ("stimulus_params_key_typo", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "params": {"distnce_m": 2.0}}]),
+     "devices[0].stimuli[0]: unknown params key(s) ['distnce_m']"),
+    ("stimulus_layout_key_typo", "simulate",
+     _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
+                                          "layout": {"rotaton": 90}}]),
+     "devices[0].stimuli[0]: unknown layout key(s) ['rotaton']"),
 ]
 
 
@@ -123,7 +141,7 @@ def test_malformed_input_exit_2(command, doc, expected, tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.mlsp").write_bytes(b"")
     (tmp_path / "doc.json").write_text(canonical_json(doc))
-    assert run(command, "doc.json", "--out", "out", "--quiet") == 2
+    assert run(*command.split(), "doc.json", "--out", "out", "--quiet") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err
@@ -187,6 +205,21 @@ class TestAudit:
         code = run("audit", log, FIXTURES / "person.mlsd.json")
         assert code == 1
         assert "UNDECLARED_CHANNEL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("log_row,datasheet,expected", [
+        ("5,SERIAL,zz,8", "person.mlsd.json", "SERIAL detail 'zz' is not a hex address"),
+        ("5,RADIO,0x29,8", "person.mlsd.json", "unknown channel 'RADIO'"),
+        ("5,PIN,p1.DETECT,1", "list.json", "list.json: top level must be a JSON object"),
+    ], ids=["serial_not_hex", "unknown_channel", "datasheet_is_list"])
+    def test_malformed_input_exit_2(self, log_row, datasheet, expected, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[]")
+        log = tmp_path / "exposure.csv"
+        log.write_text(f"time_ms,channel,detail,bits\n{log_row}\n")
+        path = tmp_path / datasheet if datasheet == "list.json" else FIXTURES / datasheet
+        assert run("audit", log, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert expected in err
 
 
 class TestComposeDemo:

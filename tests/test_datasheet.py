@@ -8,6 +8,7 @@ from vsensor.datasheet import (
     Datasheet,
     DatasheetError,
     Finding,
+    Violation,
     attach_performance,
     canonical_json,
     cross_check,
@@ -93,6 +94,24 @@ class TestValidate:
             {"name": "DETECT", "role": "signal_out"}
         )
         assert any(v.code == "INCONSISTENT" for v in validate(ds))
+
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("comm_spec_pinout", "pins", [{"name": 5, "role": "power"}],
+         "malformed pin entry {'name': 5, 'role': 'power'}"),
+        ("comm_spec_pinout", "pins", "VDD,GND,DETECT", "pins must be a list"),
+        ("comm_spec_pinout", "timing", {"cadence_ms": 1.5},
+         "timing must map names to positive integer milliseconds"),
+        ("compliance", None, ["CE", ""], "compliance must be a list of marks"),
+        ("form_factor", None, ["10x10 mm"], "section 'form_factor' must be an object"),
+    ], ids=["malformed_pin", "pins_not_list", "timing_not_int", "compliance_not_marks",
+            "section_not_object"])
+    def test_inconsistent_section(self, section, field, value, message):
+        ds = load("person.mlsd.json")
+        if field is None:
+            ds.doc[section] = value
+        else:
+            ds.doc[section][field] = value
+        assert validate(ds) == [Violation(section, "INCONSISTENT", message)]
 
 
 class TestRender:

@@ -198,6 +198,19 @@ class TestAudit:
         records = parse_exposure_csv(bus.exposure_csv())
         assert records == bus.exposure_log
 
+    @pytest.mark.parametrize("channel,detail,message", [
+        ("SERIAL", "zz", "SERIAL detail 'zz' is not a hex address"),
+        ("RADIO", "0x29", "unknown channel 'RADIO'"),
+    ])
+    def test_exposure_csv_rejects_bad_record(self, channel, detail, message):
+        bus = Bus()
+        bus.i2c_transfer(0x29, Direction.WRITE, b"\x01")  # logged though NACKed
+        text = bus.exposure_csv()
+        assert parse_exposure_csv(text) == bus.exposure_log
+        bad = text.replace("SERIAL,0x29", f"{channel},{detail}")
+        with pytest.raises(ValueError, match=message):
+            parse_exposure_csv(bad)
+
 
 def test_real_device_audit_end_to_end():
     from vsensor.sensors import tap_sensor
