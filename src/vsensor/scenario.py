@@ -68,9 +68,10 @@ def _with_defaults(given: object, defaults: dict, where: str) -> dict:
     return {**defaults, **given}
 
 
-def _fields(cls, **overrides) -> dict:
-    """The fields of ``cls`` but ``seed`` (set per stimulus), with defaults."""
-    return {f.name: overrides.get(f.name, f.default) for f in fields(cls) if f.name != "seed"}
+def _fields(cls, *omit: str, **overrides) -> dict:
+    """The fields of ``cls`` but ``seed`` (set per stimulus) and ``omit``, with defaults."""
+    return {f.name: overrides.get(f.name, f.default)
+            for f in fields(cls) if f.name not in ("seed", *omit)}
 
 
 def _policy(config: dict) -> PersonPinPolicy:
@@ -185,7 +186,7 @@ def _display_frames(e: dict, seed: int):
 # modality -> (builder of (at, stimulus) pairs from (entry, seed), the
 # entry's keys besides modality, at and seed, with defaults).  A dict
 # default is a nested object checked key by key; params and layout take
-# their keys and defaults from the dataclasses.
+# their dataclass fields, less the digit limits of the text reader's BCD words.
 _MODALITIES = {
     "scene": (_scene_frames,
               {"every_ms": 100, "count": 1,
@@ -198,8 +199,8 @@ _MODALITIES = {
               {"script": [], "vocabulary": ["on", "off"], "duration_ms": None,
                "noise_sigma": 0.08}),
     "display": (_display_frames,
-                {"reading": None, "every_ms": 500, "count": 1,
-                 "layout": _fields(DisplayLayout), "params": _fields(DisplayParams)}),
+                {"reading": None, "every_ms": 500, "count": 1, "params": _fields(DisplayParams),
+                 "layout": _fields(DisplayLayout, "max_whole_digits", "max_frac_digits")}),
 }
 
 

@@ -62,7 +62,7 @@ _SEG_SAMPLE = {
 }
 
 
-class LayoutOverflow(Exception):
+class LayoutOverflow(ValueError):
     """Reading does not fit the display layout."""
 
 

@@ -355,12 +355,12 @@ class Bus:
                 for lid, trace in self.traces().items()
             },
             "i2c": [
-                dict(zip(I2C_COLUMNS, (t, txn.address, txn.direction.value,
-                                       txn.status.value, txn.payload.hex())))
+                {"time_ms": t, "address": txn.address, "direction": txn.direction.value,
+                 "status": txn.status.value, "payload_hex": txn.payload.hex()}
                 for t, txn in self.i2c_log
             ],
             "exposure": [
-                dict(zip(EXPOSURE_COLUMNS, (r.at, r.channel, r.detail, r.bits)))
+                {"time_ms": r.at, "channel": r.channel, "detail": r.detail, "bits": r.bits}
                 for r in self.exposure_log
             ],
         }

@@ -132,6 +132,17 @@ MALFORMED = [
      _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
                                           "layout": {"rotaton": 90}}]),
      "devices[0].stimuli[0]: unknown layout key(s) ['rotaton']"),
+    ("stimulus_layout_digit_limit", "simulate",
+     _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
+                                          "layout": {"max_whole_digits": 0}}]),
+     "devices[0].stimuli[0]: unknown layout key(s) ['max_whole_digits']"),
+    ("display_too_many_digits", "simulate",
+     _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "12345678"}]),
+     "devices[0].stimuli[0]: LayoutOverflow: 8 whole digits > 7"),
+    ("display_off_frame", "simulate",
+     _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
+                                          "layout": {"frame_width": 10}}]),
+     "devices[0].stimuli[0]: LayoutOverflow: rendered display exceeds frame bounds"),
 ]
 
 

@@ -1,12 +1,18 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsensor.scenario import run_scenario
 from vsensor.vbus import (
+    EXPOSURE_COLUMNS,
     HIGH,
+    I2C_COLUMNS,
     LOW,
+    TRACE_COLUMNS,
     Bus,
     BusError,
     Direction,
@@ -14,6 +20,8 @@ from vsensor.vbus import (
     Status,
     high_intervals,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestPinTrace:
@@ -303,3 +311,32 @@ class TestAdvanceProperties:
         assert bus.advance(880) == []
         assert bus.advance(10) == [(900, "tap", HIGH)]
         assert bus.advance(100) == []
+
+
+def test_run_doc_records_match_csv_columns():
+    """Each run.json record has its CSV's columns, in order, with the same values."""
+    doc = json.loads((FIXTURES / "all_kinds_scenario.json").read_text())
+    bus = run_scenario(doc).bus
+    run = bus.run_doc()
+
+    header, *rows = bus.trace_csv().splitlines()
+    assert header.split(",") == list(TRACE_COLUMNS)
+    transitions = [f"{t},{lid},{lvl}" for lid, trace in run["traces"].items()
+                   for t, lvl in trace["transitions"]]
+    assert sorted(rows) == sorted(transitions) and rows
+
+    header, *rows = bus.i2c_csv().splitlines()
+    assert header.split(",") == list(I2C_COLUMNS)
+    assert len(rows) == len(run["i2c"]) > 0
+    for row, rec in zip(rows, run["i2c"]):
+        assert list(rec) == list(I2C_COLUMNS)
+        rec = {**rec, "address": f"0x{rec['address']:02x}"}
+        assert row.split(",") == [str(v) for v in rec.values()]
+
+    header, *rows = bus.exposure_csv().splitlines()
+    assert header.split(",") == list(EXPOSURE_COLUMNS)
+    records = sorted(run["exposure"], key=lambda r: (r["time_ms"], r["channel"], r["detail"]))
+    assert len(rows) == len(records) > 0
+    for row, rec in zip(rows, records):
+        assert list(rec) == list(EXPOSURE_COLUMNS)
+        assert row.split(",") == [str(v) for v in rec.values()]
