@@ -2,7 +2,9 @@
 grid, reporting per-cell true/false positive rates and assertion latency.
 
 Every trial runs on a fresh bus and device with an index-derived seed, so
-trial execution order cannot influence the report.  The grid axes apply
+trial execution order cannot influence the report.  That also lets the
+trials run in one forked worker process per usable CPU while the report
+stays byte-identical to an in-process run.  The grid axes apply
 to the scene-modality kinds (PERSON, GAZE); for a GAZE sensor the
 negative trials show a person facing away — the discriminative case —
 rather than an empty room.
@@ -11,6 +13,8 @@ rather than an empty room.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -44,10 +48,22 @@ class TestProtocol:
     def __post_init__(self) -> None:
         if not self.distance_levels_m or not self.lux_levels:
             raise ValueError("grids must be non-empty")
+        for name in ("trials_per_cell", "latency_budget_ms", "negative_window_ms", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.trials_per_cell < 10:
             raise ValueError("trials_per_cell must be >= 10")
+        for name in ("latency_budget_ms", "negative_window_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
         if not (0.0 < self.positive_fraction < 1.0):
             raise ValueError("positive_fraction must be in (0, 1)")
+        if not 1 <= self.positive_trials < self.trials_per_cell:
+            raise ValueError(
+                f"positive_fraction {self.positive_fraction} of {self.trials_per_cell} "
+                "trials leaves no positive or no negative trials"
+            )
         if self.sensor_kind not in GRID_FACTORIES:
             raise ValueError(
                 f"distance/lux grid applies to {[k.name for k in GRID_FACTORIES]}, "
@@ -56,6 +72,11 @@ class TestProtocol:
         for distance_m in self.distance_levels_m:
             for lux in self.lux_levels:  # the scene's own bounds
                 SceneParams(True, False, distance_m, lux, self.noise_sigma)
+
+    @property
+    def positive_trials(self) -> int:
+        """Trials per cell that show a positive scene: the lowest indices."""
+        return round(self.trials_per_cell * self.positive_fraction)
 
     def to_doc(self) -> dict:
         return {**asdict(self), "sensor_kind": self.sensor_kind.name}
@@ -156,8 +177,8 @@ def _run_trial(
         bus.advance(frame_period)
         t += frame_period
         trace = bus.trace("out")
-        if positive and trace.rising_edges():
-            break  # early stop: assertion observed
+        if trace.rising_edges():
+            break  # early stop: the outcome is fixed by the first assertion
     edges = trace.rising_edges() if trace is not None else []
     if not edges:
         return False, None
@@ -165,6 +186,50 @@ def _run_trial(
     if positive and latency > protocol.latency_budget_ms:
         return False, latency
     return True, latency
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+_forked_trial = None  # set in each forked worker by _set_forked_trial
+
+
+def _set_forked_trial(trial) -> None:
+    global _forked_trial
+    _forked_trial = trial
+
+
+def _call_forked_trial(pair: tuple[int, int]) -> tuple[bool, int | None]:
+    return _forked_trial(pair)
+
+
+def _map_trials(trial, pairs: list[tuple[int, int]]) -> list[tuple[bool, int | None]]:
+    """``trial`` applied to each pair, in order, on one worker per usable CPU.
+
+    Workers are forked, so ``trial`` and the factory it closes over (tests
+    pass lambdas) are inherited rather than pickled; only the pairs and the
+    (asserted, latency) results cross a pipe.  With one CPU, or without
+    ``fork``, the trials run in this process.  No worker outlives the call.
+    """
+    workers = min(_usable_cpus(), len(pairs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [trial(pair) for pair in pairs]
+    pool = multiprocessing.get_context("fork").Pool(workers, _set_forked_trial, (trial,))
+    try:
+        # chunksize 1: a 50-frame negative trial costs far more than a
+        # positive one that stops early, so deal trials out one at a time
+        results = pool.map(_call_forked_trial, pairs, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
 
 
 def run(
@@ -176,7 +241,7 @@ def run(
 
     ``execution_order`` may permute the (cell index, trial index) pairs;
     trials are isolated and index-seeded, so the assembled report is
-    identical for every permutation.
+    identical for every permutation, and for any number of workers.
     """
     probe = factory()
     if probe.kind != protocol.sensor_kind:
@@ -190,7 +255,7 @@ def run(
         for d in protocol.distance_levels_m
         for lux in protocol.lux_levels
     ]
-    n_pos = round(protocol.trials_per_cell * protocol.positive_fraction)
+    n_pos = protocol.positive_trials
     pairs = [
         (ci, ti)
         for ci in range(len(grid))
@@ -200,10 +265,11 @@ def run(
         execution_order = pairs
     elif sorted(execution_order) != pairs:
         raise ValueError("execution_order must permute the full trial set")
-    outcomes: dict[tuple[int, int], tuple[bool, int | None]] = {}
-    for ci, ti in execution_order:
+
+    def trial(pair: tuple[int, int]) -> tuple[bool, int | None]:
+        ci, ti = pair
         distance_m, lux = grid[ci]
-        outcomes[(ci, ti)] = _run_trial(
+        return _run_trial(
             factory,
             protocol,
             distance_m,
@@ -211,6 +277,8 @@ def run(
             ti < n_pos,
             trial_seed(protocol.seed, ci, ti),
         )
+
+    outcomes = dict(zip(execution_order, _map_trials(trial, execution_order)))
     cells: list[CellResult] = []
     n_neg = protocol.trials_per_cell - n_pos
     for ci, (distance_m, lux) in enumerate(grid):

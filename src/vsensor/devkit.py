@@ -45,6 +45,12 @@ class DeviceError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
+
+    def __reduce__(self):
+        # pickle the constructor's own arguments, so that an error raised in
+        # a conformance worker process can be rebuilt in the parent
+        return type(self), (self.code, self.message)
 
 
 @dataclass

@@ -114,6 +114,22 @@ MALFORMED = [
     ("protocol_distance", "conformance", _grid(distance_levels_m=[1.0, 20.0]),
      "distance_m must be in [0.25, 10]"),
     ("protocol_extra_key", "conformance", _grid(extra=1), "'extra'"),
+    ("protocol_budget_string", "conformance", _grid(latency_budget_ms="1000"),
+     "latency_budget_ms must be an integer, not '1000'"),
+    ("protocol_trials_fractional", "conformance", _grid(trials_per_cell=10.5),
+     "trials_per_cell must be an integer, not 10.5"),
+    ("protocol_seed_string", "conformance", _grid(seed="abc"),
+     "seed must be an integer, not 'abc'"),
+    ("protocol_seed_bool", "conformance", _grid(seed=True),
+     "seed must be an integer, not True"),
+    ("protocol_no_positive_trials", "conformance", _grid(positive_fraction=0.01),
+     "leaves no positive or no negative trials"),
+    ("protocol_no_negative_trials", "conformance", _grid(positive_fraction=0.99),
+     "leaves no positive or no negative trials"),
+    ("protocol_negative_window_zero", "conformance", _grid(negative_window_ms=0),
+     "negative_window_ms must be > 0"),
+    ("protocol_budget_negative", "conformance", _grid(latency_budget_ms=-5),
+     "latency_budget_ms must be > 0"),
     ("gaze_voice_over_tap", "simulate",
      {"duration_ms": 200,
       "devices": [{"id": "t", "kind": "TAP"}, {"id": "v", "kind": "VOICE_PIN"}],

@@ -1,5 +1,9 @@
+import multiprocessing
+import random
+
 import pytest
 
+from vsensor import conformance
 from vsensor.conformance import (
     ConformanceReport,
     TestProtocol,
@@ -62,8 +66,6 @@ class TestRun:
         assert again.to_json() == small_report.to_json()
 
     def test_trial_order_permutation_invariant(self, small_report):
-        import random
-
         pairs = [(ci, ti) for ci in range(4) for ti in range(10)]
         random.Random(123).shuffle(pairs)
         shuffled = run(person_detector, SMALL, execution_order=pairs)
@@ -135,3 +137,58 @@ class TestCompare:
         with pytest.raises(DeviceError) as e:
             compare(small_report, rep)
         assert e.value.code == "SHAPE_MISMATCH"
+
+
+def _shuffled_pairs(protocol):
+    cells = len(protocol.distance_levels_m) * len(protocol.lux_levels)
+    pairs = [(ci, ti) for ci in range(cells) for ti in range(protocol.trials_per_cell)]
+    random.Random(5).shuffle(pairs)
+    return pairs
+
+
+def _fails_on_third_build():
+    """A factory whose third call raises; in a worker, counting from its fork."""
+    builds = []
+
+    def factory():
+        builds.append(None)
+        if len(builds) == 3:
+            raise DeviceError("THIRD_BUILD", "factory refuses its third device")
+        return person_detector()
+
+    return factory
+
+
+class TestWorkers:
+    """Trials run in one forked worker per usable CPU; the report must not
+    show how many there were, and no worker may outlive ``run``."""
+
+    TINY = TestProtocol(
+        DeviceKind.PERSON, [1.0, 3.0], [50], trials_per_cell=10,
+        negative_window_ms=1000, seed=3,
+    )
+
+    @pytest.mark.parametrize("factory,order", [
+        (person_detector, None),
+        (lambda: person_detector(params=make_person_blob(threshold=0.6)), None),
+        (person_detector, _shuffled_pairs(TINY)),
+    ], ids=["person_detector", "lambda_factory", "shuffled_order"])
+    def test_report_independent_of_cpu_count(self, factory, order, monkeypatch):
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(conformance, "_usable_cpus", lambda: cpus)
+            reports.append(run(factory, self.TINY, execution_order=order).to_json())
+        assert reports[0] == reports[1]
+
+    def test_no_worker_left_after_return(self, monkeypatch):
+        monkeypatch.setattr(conformance, "_usable_cpus", lambda: 2)
+        run(person_detector, self.TINY)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trial_error_reaches_caller_unchanged(self, cpus, monkeypatch):
+        monkeypatch.setattr(conformance, "_usable_cpus", lambda: cpus)
+        with pytest.raises(DeviceError) as e:
+            run(_fails_on_third_build(), self.TINY)
+        assert type(e.value) is DeviceError and e.value.code == "THIRD_BUILD"
+        assert multiprocessing.active_children() == []
