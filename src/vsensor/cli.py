@@ -27,13 +27,17 @@ class _CliError(Exception):
     """Usage or I/O failure; maps to exit code 2."""
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise _CliError(f"cannot read {path}: {e}") from e
+
+
 def _load_json(path: str, seed: int | None = None) -> dict:
     """The JSON object in ``path``, its ``seed`` replaced when one is given."""
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise _CliError(f"cannot read {path}: {e}") from e
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise _CliError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
@@ -79,7 +83,7 @@ def _cmd_conformance(args) -> int:
 
 
 def _cmd_datasheet(args) -> int:
-    parsed = ds_mod.parse(Path(args.file).read_text(encoding="utf-8"))
+    parsed = ds_mod.parse(_read_text(args.file))
     if isinstance(parsed, list):
         for err in parsed:
             where = f" (line {err.line}, col {err.column})" if err.line else ""
@@ -122,8 +126,8 @@ def _cmd_datasheet(args) -> int:
 
 def _cmd_audit(args) -> int:
     try:
-        records = parse_exposure_csv(Path(args.log).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
+        records = parse_exposure_csv(_read_text(args.log))
+    except ValueError as e:
         raise _CliError(f"cannot read exposure log: {e}") from e
     pinout = _load_json(args.datasheet).get("comm_spec_pinout")
     try:

@@ -9,8 +9,6 @@ gated-event window boundary is inclusive, and the latch reset wins ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .vbus import HIGH, LOW, Bus, PinTrace, high_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
@@ -116,24 +114,13 @@ def sr_latch(set_line: PinTrace, reset_line: PinTrace) -> PinTrace:
     return out
 
 
-@dataclass
-class Composite:
-    """A registered virtual-line composition on a bus."""
-
-    bus: Bus
-    line_id: str
-
-    def trace(self) -> PinTrace:
-        return self.bus.virtual_trace(self.line_id)
-
-
 def gaze_voice_demo(
     bus: Bus,
     gaze_device,
     voice_pin_device,
     window_ms: int = DEFAULT_GAZE_WINDOW_MS,
     line_id: str = "LIGHT_ON",
-) -> Composite:
+) -> None:
     """Gaze-gated light switch: say "on"/"off" while looking at it.
 
     LIGHT_ON latches HIGH on a gaze-gated "on" (STATE rising edge) and
@@ -150,4 +137,3 @@ def gaze_voice_demo(
         return sr_latch(set_pulses, reset_pulses)
 
     bus.add_virtual_line(line_id, compute)
-    return Composite(bus, line_id)

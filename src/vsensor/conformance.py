@@ -161,28 +161,22 @@ def _run_trial(
     power_on(device, bus, {"VDD": "vdd", "GND": "gnd", pin: "out"})
     frame_period = device.cadence_ms
     window = protocol.latency_budget_ms if positive else protocol.negative_window_ms
-    facing = protocol.sensor_kind == DeviceKind.GAZE
-    if positive:
-        scene = SceneParams(True, facing, distance_m, lux, protocol.noise_sigma, 0)
-    elif facing:
-        # the discriminative gaze negative: person present, facing away
-        scene = SceneParams(True, False, distance_m, lux, protocol.noise_sigma, 0)
-    else:
-        scene = SceneParams(False, False, distance_m, lux, protocol.noise_sigma, 0)
+    gaze = protocol.sensor_kind == DeviceKind.GAZE
+    # a gaze negative is the discriminative case: person present, facing away
+    scene = SceneParams(positive or gaze, positive and gaze, distance_m, lux,
+                        protocol.noise_sigma, 0)
+    # the line starts LOW, so its first transition is the first assertion;
+    # stop there, since that assertion fixes the outcome
+    trace = bus.lines["out"]
     t = 0
-    trace = None
-    while t < window:
+    while t < window and not trace.transitions:
         frame_seed = int(rng.integers(0, 2**63))
         device.feed_stimulus(render_scene(replace(scene, seed=frame_seed)), t)
         bus.advance(frame_period)
         t += frame_period
-        trace = bus.trace("out")
-        if trace.rising_edges():
-            break  # early stop: the outcome is fixed by the first assertion
-    edges = trace.rising_edges() if trace is not None else []
-    if not edges:
+    if not trace.transitions:
         return False, None
-    latency = edges[0]
+    latency = trace.transitions[0][0]
     if positive and latency > protocol.latency_budget_ms:
         return False, latency
     return True, latency
@@ -282,22 +276,16 @@ def run(
     cells: list[CellResult] = []
     n_neg = protocol.trials_per_cell - n_pos
     for ci, (distance_m, lux) in enumerate(grid):
-        tp = fp = 0
-        latencies: list[int] = []
-        for ti in range(protocol.trials_per_cell):
-            asserted, latency = outcomes[(ci, ti)]
-            if ti < n_pos and asserted:
-                tp += 1
-                latencies.append(latency)
-            elif ti >= n_pos and asserted:
-                fp += 1
-        latencies.sort()
+        results = [outcomes[(ci, ti)] for ti in range(protocol.trials_per_cell)]
+        # an asserted positive's latency is the first assertion, never None
+        latencies = sorted(latency for asserted, latency in results[:n_pos] if asserted)
+        fp = sum(asserted for asserted, _ in results[n_pos:])
         cells.append(
             CellResult(
                 distance_m=distance_m,
                 lux=lux,
                 trials=protocol.trials_per_cell,
-                tpr=round(tp / n_pos, 6),
+                tpr=round(len(latencies) / n_pos, 6),
                 fpr=round(fp / n_neg, 6),
                 mean_latency_ms=round(sum(latencies) / len(latencies), 2)
                 if latencies

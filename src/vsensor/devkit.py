@@ -14,14 +14,12 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 
-from .vbus import Bus, BusError, ExposureRecord, LogicLevel, LOW
+from .vbus import Bus, BusError, ExposureRecord, LogicLevel, LOW, _time_of
 
 BLOB_MAGIC = b"MLSP"
 BLOB_VERSION = 1
 
-_time_of = itemgetter(0)
 _HEX_ADDRESS = re.compile(r"0x[0-9a-fA-F]+")  # a SERIAL record's detail
 
 
@@ -85,9 +83,9 @@ class InterfaceDecl:
 # -- parameter blobs -------------------------------------------------------
 
 
-def pack_blob(kind: DeviceKind, payload: bytes, version: int = BLOB_VERSION) -> bytes:
+def pack_blob(kind: DeviceKind, payload: bytes) -> bytes:
     """Frame detector parameters: MLSP magic, version, kind, length, CRC32."""
-    head = BLOB_MAGIC + struct.pack("<BBI", version, kind.value, len(payload))
+    head = BLOB_MAGIC + struct.pack("<BBI", BLOB_VERSION, kind.value, len(payload))
     body = head + payload
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 

@@ -70,16 +70,10 @@ def encode_reading(r: Reading) -> bytes:
         raise BcdError("TOO_MANY_DIGITS", f"whole part {r.whole_digits!r} > 7 digits")
     if len(r.frac_digits) > MAX_FRAC_DIGITS:
         raise BcdError("TOO_MANY_DIGITS", f"fraction {r.frac_digits!r} > 8 digits")
-    whole = r.whole_digits.rjust(MAX_WHOLE_DIGITS, "0")
+    # the packed BCD of decimal digits is those digits read as hex
     sign = SIGN_NEGATIVE if r.negative else SIGN_POSITIVE
-    whole_word = 0
-    for d in whole:
-        whole_word = (whole_word << 4) | int(d)
-    whole_word = (whole_word << 4) | sign
-    frac = r.frac_digits.ljust(MAX_FRAC_DIGITS, "0")
-    frac_word = 0
-    for d in frac:
-        frac_word = (frac_word << 4) | int(d)
+    whole_word = int(r.whole_digits, 16) << 4 | sign
+    frac_word = int(r.frac_digits.ljust(MAX_FRAC_DIGITS, "0"), 16)
     return struct.pack(">II", whole_word, frac_word)
 
 
@@ -97,26 +91,13 @@ def decode_reading(data: bytes) -> Reading | None:
     sign = whole_word & 0xF
     if sign not in (SIGN_POSITIVE, SIGN_NEGATIVE):
         raise BcdError("MALFORMED_NIBBLE", f"bad sign nibble 0x{sign:X}")
-    digits = []
-    w = whole_word >> 4
-    for _ in range(MAX_WHOLE_DIGITS):
-        nib = w & 0xF
-        if nib > 9:
-            raise BcdError("MALFORMED_NIBBLE", f"nibble 0x{nib:X} in whole digit position")
-        digits.append(str(nib))
-        w >>= 4
-    whole = "".join(reversed(digits)).lstrip("0") or "0"
-    digits = []
-    f = frac_word
-    for _ in range(MAX_FRAC_DIGITS):
-        nib = (f >> 28) & 0xF
-        if nib > 9:
-            raise BcdError(
-                "MALFORMED_NIBBLE", f"nibble 0x{nib:X} in fraction digit position"
-            )
-        digits.append(str(nib))
-        f = (f << 4) & 0xFFFFFFFF
-    frac = "".join(digits).rstrip("0")
+    whole, frac = f"{whole_word >> 4:07x}", f"{frac_word:08x}"
+    # the first bad digit as the nibbles are read: whole from the right
+    for digits, where in ((whole[::-1], "whole"), (frac, "fraction")):
+        bad = next((c for c in digits if c > "9"), None)
+        if bad:
+            raise BcdError("MALFORMED_NIBBLE", f"nibble 0x{bad.upper()} in {where} digit position")
+    whole, frac = whole.lstrip("0") or "0", frac.rstrip("0")
     return Reading(sign == SIGN_NEGATIVE, whole, frac)
 
 

@@ -2,69 +2,6 @@
 inference cores that stand in for trained models.
 
 Every generator is a pure function of its arguments including the seed;
-every detector is a pure function of its inputs.
+every detector is a pure function of its inputs.  Import each name from
+its submodule: ``scene``, ``imu``, ``audio`` or ``sevenseg``.
 """
-
-from .scene import (
-    Frame,
-    SceneParams,
-    Detection,
-    PersonParams,
-    GazeParams,
-    render_scene,
-    detect_person,
-    detect_gaze,
-    match_score,
-)
-from .imu import ImuWindow, TapParams, synth_imu, detect_tap, high_pass_magnitude
-from .audio import (
-    FeatureWindow,
-    KeywordEvent,
-    synth_audio,
-    detect_keyword,
-    detect_keywords,
-    keyword_templates,
-    word_signature,
-)
-from .sevenseg import (
-    Reading,
-    DisplayLayout,
-    DisplayParams,
-    SEGMENT_TABLE,
-    render_display,
-    decode_display,
-    segment_lookup,
-    LayoutOverflow,
-)
-
-__all__ = [
-    "Frame",
-    "SceneParams",
-    "Detection",
-    "PersonParams",
-    "GazeParams",
-    "render_scene",
-    "detect_person",
-    "detect_gaze",
-    "match_score",
-    "ImuWindow",
-    "TapParams",
-    "synth_imu",
-    "detect_tap",
-    "high_pass_magnitude",
-    "FeatureWindow",
-    "KeywordEvent",
-    "synth_audio",
-    "detect_keyword",
-    "detect_keywords",
-    "keyword_templates",
-    "word_signature",
-    "Reading",
-    "DisplayLayout",
-    "DisplayParams",
-    "SEGMENT_TABLE",
-    "render_display",
-    "decode_display",
-    "segment_lookup",
-    "LayoutOverflow",
-]

@@ -22,8 +22,7 @@ TAP_SHAPE_G = (TAP_PEAK_G, -1.6, 0.7)
 
 @dataclass
 class ImuWindow:
-    samples: np.ndarray  # (n, 3) ax, ay, az in g
-    sample_rate_hz: int = SAMPLE_RATE_HZ
+    samples: np.ndarray  # (n, 3) ax, ay, az in g, one row per SAMPLE_PERIOD_MS
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)

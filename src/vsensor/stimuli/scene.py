@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 FRAME_SIZE = 96
 FIGURE_BASE_HEIGHT_PX = 50  # apparent height at 1 m
@@ -40,14 +39,6 @@ class Frame:
             raise ValueError("pixels must be a 2-D array")
         if self.pixels.shape[0] < 16 or self.pixels.shape[1] < 16:
             raise ValueError("frame dimensions must be >= 16")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass
@@ -177,7 +168,6 @@ def render_scene(p: SceneParams) -> Frame:
 # -- templates --------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _figure_template(figure: str, h: int, facing: bool, head_only: bool) -> np.ndarray:
     """Clean figure rendering cropped to its bounding box, as float64."""
     pad = 4
@@ -200,49 +190,56 @@ def _figure_template(figure: str, h: int, facing: bool, head_only: bool) -> np.n
     return np.ascontiguousarray(canvas[y0:y1, x0:x1])
 
 
-_TEMPLATE_FFT_CACHE: dict[tuple, np.ndarray] = {}
+def prepare_template(template: np.ndarray, shape: tuple[int, int]) -> tuple | None:
+    """(height, width, norm, conjugate spectrum of the mean-removed template
+    zero-padded to ``shape``): what match_score needs of a template, or None
+    when it cannot score in a frame of that shape (larger, or flat)."""
+    th, tw = template.shape
+    if th > shape[0] or tw > shape[1]:
+        return None
+    tz = template - template.mean()
+    tn = float(np.sqrt((tz * tz).sum()))
+    if tn == 0.0:
+        return None
+    padded = np.zeros(shape)
+    padded[:th, :tw] = tz
+    return th, tw, tn, np.conj(np.fft.rfft2(padded))
 
 
-def _template_fft(tz: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    key = (tz.shape, hash(tz.tobytes()), shape)
-    out = _TEMPLATE_FFT_CACHE.get(key)
-    if out is None:
-        padded = np.zeros(shape)
-        padded[: tz.shape[0], : tz.shape[1]] = tz
-        out = np.conj(np.fft.rfft2(padded))
-        _TEMPLATE_FFT_CACHE[key] = out
-    return out
+@lru_cache(maxsize=64)
+def _template_bank(figure: str, facing: bool, head_only: bool, heights: tuple[int, ...],
+                   frame_shape: tuple[int, int]) -> tuple[tuple, ...]:
+    """The prepared figure template of each scale that can score in the frame."""
+    bank = (prepare_template(_figure_template(figure, h, facing, head_only), frame_shape)
+            for h in heights)
+    return tuple(p for p in bank if p is not None)
 
 
 def match_score(
     pixels: np.ndarray,
-    template: np.ndarray,
+    prepared: tuple | None,
     img_fft: np.ndarray | None = None,
     window_sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Max normalized cross-correlation of template over the image at
-    every translation, clipped to [0, 1].  Invariant to global positive
-    gain on the image.
+    """Max normalized cross-correlation of a prepared template over the
+    image at every translation, clipped to [0, 1]; 0.0 for None.
+    Invariant to global positive gain on the image.
 
-    The numerator is computed by FFT cross-correlation (template spectra
-    cached); window mean/variance come from integral images.  The
-    optional precomputed ``img_fft``/``window_sums`` let a caller share
-    per-frame work across template scales.
+    The numerator is computed by FFT cross-correlation; window
+    mean/variance come from integral images.  The optional precomputed
+    ``img_fft``/``window_sums`` let a caller share per-frame work across
+    template scales.
     """
+    if prepared is None:
+        return 0.0
+    th, tw, tn, template_fft = prepared
     img = np.asarray(pixels, dtype=np.float64)
-    th, tw = template.shape
     hh, ww = img.shape
-    if th > hh or tw > ww:
-        return 0.0
-    tz = np.ascontiguousarray(template - template.mean())
-    tn = float(np.sqrt((tz * tz).sum()))
-    if tn == 0.0:
-        return 0.0
     if img_fft is None:
         img_fft = np.fft.rfft2(img)
     if window_sums is None:
         window_sums = integral_images(img)
-    corr = np.fft.irfft2(img_fft * _template_fft(tz, (hh, ww)), s=(hh, ww))
+    corr = np.fft.irfft2(img_fft * template_fft, s=(hh, ww))
     num = corr[: hh - th + 1, : ww - tw + 1]
     s_int, q_int = window_sums
     wsum = _window_sum(s_int, th, tw)
@@ -288,30 +285,24 @@ class GazeParams:
     scale_heights: tuple[int, ...] = (50, 34, 25)
 
 
-def _multi_scale_score(frame: Frame, templates: list[np.ndarray]) -> float:
+def _multi_scale_score(frame: Frame, figure: str, facing: bool, head_only: bool,
+                       heights: tuple[int, ...]) -> float:
     img = np.asarray(frame.pixels, dtype=np.float64)
     img_fft = np.fft.rfft2(img)
     sums = integral_images(img)
-    return max(match_score(img, tpl, img_fft, sums) for tpl in templates)
+    bank = _template_bank(figure, facing, head_only, tuple(heights), img.shape)
+    return max((match_score(img, p, img_fft, sums) for p in bank), default=0.0)
 
 
 def detect_person(frame: Frame, params: PersonParams | None = None) -> Detection:
     """Whole-figure template match; fires on any person, facing or not."""
     params = params or PersonParams()
-    templates = [
-        _figure_template(params.figure, h, facing=False, head_only=False)
-        for h in params.scale_heights
-    ]
-    best = _multi_scale_score(frame, templates)
+    best = _multi_scale_score(frame, params.figure, False, False, params.scale_heights)
     return Detection(present=best >= params.threshold, score=best)
 
 
 def detect_gaze(frame: Frame, params: GazeParams | None = None) -> Detection:
     """Facing-head template match; fires only on a camera-facing person."""
     params = params or GazeParams()
-    templates = [
-        _figure_template("person", h, facing=True, head_only=True)
-        for h in params.scale_heights
-    ]
-    best = _multi_scale_score(frame, templates)
+    best = _multi_scale_score(frame, "person", True, True, params.scale_heights)
     return Detection(present=best >= params.threshold, score=best)

@@ -124,8 +124,8 @@ def _glyph_cells(r: Reading) -> list[frozenset[str]]:
     return cells
 
 
-def _render_patch(r: Reading, on: float) -> tuple[np.ndarray, int]:
-    """Marker + cells + dot on a zero background; returns (patch, dot cell)."""
+def _render_patch(r: Reading, on: float) -> np.ndarray:
+    """Marker + cells + dot on a zero background."""
     cells = _glyph_cells(r)
     dot_after = (1 if r.negative else 0) + len(r.whole_digits) - 1
     width = MARKER_W + GAP + len(cells) * PITCH
@@ -139,7 +139,7 @@ def _render_patch(r: Reading, on: float) -> tuple[np.ndarray, int]:
     # decimal point in the gap after the last whole digit
     dx = MARKER_W + GAP + dot_after * PITCH + CELL_W
     patch[CELL_H - 2 : CELL_H, dx : dx + GAP] = on
-    return patch, dot_after
+    return patch
 
 
 def render_display(
@@ -157,7 +157,7 @@ def render_display(
             f"{len(r.frac_digits)} fractional digits > {layout.max_frac_digits}"
         )
     on = 20.0 + 235.0 * _contrast(p.illuminance_lux)
-    patch, _ = _render_patch(r, on)
+    patch = _render_patch(r, on)
     patch = np.rot90(patch, layout.rotation // 90)
     img = np.full((layout.frame_height, layout.frame_width), 20.0)
     ph, pw = patch.shape

@@ -419,7 +419,7 @@ def _run_gaze_voice(facing: bool):
     gaze, voice = gaze_detector(), voice_sensor_pin()
     power_on(gaze, bus, {"VDD": "vdd", "GND": "gnd", "DETECT": "g.DETECT"})
     power_on(voice, bus, {"VDD": "vdd", "GND": "gnd", "STATE": "v.STATE"})
-    comp = gaze_voice_demo(bus, gaze, voice)
+    gaze_voice_demo(bus, gaze, voice)
     frame = render_scene(SceneParams(True, facing, 1.0, 800, 4.0, seed=13))
     for k in range(30):
         gaze.feed_stimulus(frame, k * 100)
@@ -427,7 +427,7 @@ def _run_gaze_voice(facing: bool):
         synth_audio([("on", 1000), ("off", 2200)], ["on", "off"], seed=14), 0
     )
     bus.advance(3000)
-    return high_intervals(comp.trace(), 3000)
+    return high_intervals(bus.virtual_trace("LIGHT_ON"), 3000)
 
 
 def _rand_trace(rng, lid, dur):

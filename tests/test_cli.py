@@ -159,6 +159,16 @@ MALFORMED = [
      _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
                                           "layout": {"frame_width": 10}}]),
      "devices[0].stimuli[0]: LayoutOverflow: rendered display exceeds frame bounds"),
+    # bytes are written as they are; every other doc as canonical JSON
+    ("simulate_not_utf8", "simulate", b"\xff\xfe{\x00}\x00", "cannot read doc.json: 'utf-8'"),
+    ("conformance_not_utf8", "conformance", b"\xff\xfe{\x00}\x00",
+     "cannot read doc.json: 'utf-8'"),
+    ("datasheet_binary", "datasheet validate", b"\x89PNG\r\n\x1a\n\x00\x00\xff",
+     "cannot read doc.json: 'utf-8'"),
+    ("audit_datasheet_not_utf8", "audit exposure.csv", b"{\"a\": \"\xe9\"}",
+     "cannot read doc.json: 'utf-8'"),
+    ("crosscheck_device_from_not_utf8", "datasheet crosscheck person.mlsd.json --device-from",
+     b"\xff\xfe{\x00}\x00", "cannot read doc.json: 'utf-8'"),
 ]
 
 
@@ -167,8 +177,11 @@ MALFORMED = [
 def test_malformed_input_exit_2(command, doc, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.mlsp").write_bytes(b"")
-    (tmp_path / "doc.json").write_text(canonical_json(doc))
-    assert run(*command.split(), "doc.json", "--out", "out", "--quiet") == 2
+    (tmp_path / "exposure.csv").write_text("time_ms,channel,detail,bits\n")
+    (tmp_path / "person.mlsd.json").write_bytes((FIXTURES / "person.mlsd.json").read_bytes())
+    (tmp_path / "doc.json").write_bytes(
+        doc if isinstance(doc, bytes) else canonical_json(doc).encode())
+    assert run(*command.split(), "doc.json", "--quiet") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err

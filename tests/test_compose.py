@@ -166,7 +166,7 @@ class TestGazeVoiceDemo:
         gaze, voice = gaze_detector(), voice_sensor_pin()
         power_on(gaze, bus, {"VDD": "vdd", "GND": "gnd", "DETECT": "g.DETECT"})
         power_on(voice, bus, {"VDD": "vdd", "GND": "gnd", "STATE": "v.STATE"})
-        comp = gaze_voice_demo(bus, gaze, voice)
+        gaze_voice_demo(bus, gaze, voice)
         frame = render_scene(SceneParams(True, facing, 1.0, 800, 4.0, seed=11))
         for k in range(30):
             gaze.feed_stimulus(frame, k * 100)
@@ -174,7 +174,7 @@ class TestGazeVoiceDemo:
             synth_audio([("on", 1000), ("off", 2200)], ["on", "off"], seed=12), 0
         )
         bus.advance(3000)
-        return high_intervals(comp.trace(), 3000)
+        return high_intervals(bus.virtual_trace("LIGHT_ON"), 3000)
 
     def test_on_with_gaze_lights_up(self):
         ivs = self.run_demo(facing=True)

@@ -10,9 +10,12 @@ from vsensor.stimuli.scene import (
     detect_gaze,
     detect_person,
     figure_height_px,
+    _template_bank,
     match_score,
+    prepare_template,
     render_scene,
 )
+from vsensor.stimuli.sevenseg import Reading, render_display
 
 
 def scene(present=True, facing=False, d=1.0, lux=800.0, sigma=4.0, seed=0, figure="person"):
@@ -66,20 +69,51 @@ class TestMatchScore:
         rng = np.random.default_rng(0)
         img = rng.normal(100, 20, (40, 40))
         template = img[10:30, 5:25].copy()
-        assert match_score(img, template) == pytest.approx(1.0, abs=1e-9)
+        assert match_score(img, prepare_template(template, img.shape)) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_gain_invariance(self):
         img = scene(seed=3).pixels.astype(np.float64)
         template = img[20:50, 30:60].copy()
-        base = match_score(img, template)
+        prepared = prepare_template(template, img.shape)
+        base = match_score(img, prepared)
         for gain in (0.5, 2.0):
-            assert match_score(img * gain, template) == pytest.approx(base, abs=1e-6)
+            assert match_score(img * gain, prepared) == pytest.approx(base, abs=1e-6)
 
     def test_score_clipped_to_unit_interval(self):
         rng = np.random.default_rng(1)
         img = rng.normal(0, 1, (30, 30))
         template = rng.normal(0, 1, (8, 8))
-        assert 0.0 <= match_score(img, template) <= 1.0
+        assert 0.0 <= match_score(img, prepare_template(template, img.shape)) <= 1.0
+
+    def test_unscorable_templates(self):
+        img = np.random.default_rng(2).normal(0, 1, (20, 20))
+        assert prepare_template(np.full((5, 5), 7.0), img.shape) is None  # flat
+        assert prepare_template(np.eye(21), img.shape) is None  # larger than the frame
+        assert prepare_template(np.eye(21), (24, 24)) is not None
+        assert match_score(img, None) == 0.0
+
+
+class TestTemplateBank:
+    def test_alternating_frame_shapes(self):
+        # one bank per frame shape: scores must not depend on which shapes
+        # were scored before, so compare against a cold bank every time
+        display = render_display(Reading(False, "1234", "5")).pixels
+        frames = [Frame(f) for f in (
+            scene(seed=3).pixels, display, scene(seed=4).pixels[40:60, 38:58],
+            scene(facing=True, seed=5).pixels, display, scene(seed=6).pixels[30:50, 40:60],
+        )]
+        detectors = (detect_person, detect_gaze,
+                     lambda f: detect_person(f, PersonParams(figure="rodent")))
+        _template_bank.cache_clear()
+        warm = [det(f).score for f in frames for det in detectors]
+        cold = []
+        for f in frames:
+            for det in detectors:
+                _template_bank.cache_clear()
+                cold.append(det(f).score)
+        assert warm == cold
+        assert {f.pixels.shape for f in frames} == {(96, 96), (64, 128), (20, 20)}
 
 
 class TestDetectPerson:
