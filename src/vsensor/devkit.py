@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .vbus import Bus, BusError, ExposureRecord, LogicLevel, LOW, _time_of
+from .vbus import EXPOSURE_COLUMNS, Bus, ExposureRecord, LogicLevel, LOW, _time_of
 
 BLOB_MAGIC = b"MLSP"
 BLOB_VERSION = 1
@@ -315,7 +315,7 @@ def audit(
 def parse_exposure_csv(text: str) -> list[ExposureRecord]:
     """Inverse of Bus.exposure_csv."""
     lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "time_ms,channel,detail,bits":
+    if not lines or lines[0] != ",".join(EXPOSURE_COLUMNS):
         raise ValueError("bad exposure log header")
     out = []
     for ln in lines[1:]:

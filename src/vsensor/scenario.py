@@ -9,6 +9,7 @@ it plus stable indices, never from the clock or OS entropy.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -16,18 +17,11 @@ from dataclasses import dataclass, field, fields
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
 from .sensors import (
-    TEXT_READER_DEFAULT_ADDRESS,
-    VOICE_SERIAL_DEFAULT_ADDRESS,
     GazeDetectorDevice,
     PersonDetectorDevice,
     PersonPinPolicy,
     VoicePinDevice,
     gaze_detector,
-    make_gaze_blob,
-    make_person_blob,
-    make_tap_blob,
-    make_text_reader_blob,
-    make_voice_blob,
     person_detector,
     tap_sensor,
     text_reader,
@@ -74,35 +68,23 @@ def _fields(cls, *omit: str, **overrides) -> dict:
             for f in fields(cls) if f.name not in ("seed", *omit)}
 
 
-def _policy(config: dict) -> PersonPinPolicy:
-    policy = _with_defaults(config["policy"], _fields(PersonPinPolicy), "config.policy")
-    return PersonPinPolicy(**policy)
-
-
-# scenario kind -> (config keys with their defaults, parameter blob built
-# from the config, device built from (config, blob)).  A params file
-# replaces the built blob as it is, so an empty file fails BAD_CRC.
+# scenario kind -> its factory, whose parameters less ``params`` are the
+# kind's config keys with their defaults (see config_defaults)
 KINDS = {
-    "PERSON": ({"threshold": 0.8, "figure": "person", "policy": {}},
-               lambda c: make_person_blob(c["threshold"], c["figure"]),
-               lambda c, blob: person_detector(_policy(c), blob)),
-    "GAZE": ({"threshold": 0.8, "policy": {}},
-             lambda c: make_gaze_blob(c["threshold"]),
-             lambda c, blob: gaze_detector(_policy(c), blob)),
-    "TAP": ({"threshold_g": 1.0, "refractory_ms": 100, "pulse_ms": 200},
-            lambda c: make_tap_blob(c["threshold_g"], c["refractory_ms"]),
-            lambda c, blob: tap_sensor(c["pulse_ms"], blob)),
-    "VOICE_PIN": ({"threshold": 0.82},
-                  lambda c: make_voice_blob(["on", "off"], c["threshold"]),
-                  lambda c, blob: voice_sensor_pin(blob)),
-    "VOICE_SERIAL": ({"vocabulary": ["on", "off"], "threshold": 0.82,
-                      "address": VOICE_SERIAL_DEFAULT_ADDRESS},
-                     lambda c: make_voice_blob(c["vocabulary"], c["threshold"]),
-                     lambda c, blob: voice_sensor_serial(c["vocabulary"], c["address"], blob)),
-    "TEXT_READER": ({"address": TEXT_READER_DEFAULT_ADDRESS},
-                    lambda c: make_text_reader_blob(),
-                    lambda c, blob: text_reader(c["address"], blob)),
+    "PERSON": person_detector,
+    "GAZE": gaze_detector,
+    "TAP": tap_sensor,
+    "VOICE_PIN": voice_sensor_pin,
+    "VOICE_SERIAL": voice_sensor_serial,
+    "TEXT_READER": text_reader,
 }
+
+
+def config_defaults(factory) -> dict:
+    """``factory``'s parameters but ``params``, with defaults; ``policy`` is an object."""
+    return {name: {} if name == "policy" else p.default
+            for name, p in inspect.signature(factory).parameters.items() if name != "params"}
+
 
 # combinator -> (function, keys naming its input lines, numeric keys with
 # their defaults).  gaze_voice takes device ids rather than lines.
@@ -141,15 +123,17 @@ def _build_device(spec: dict) -> SensorDevice:
     kind = spec.get("kind")
     if kind not in KINDS:
         raise ScenarioError(f"unknown device kind {kind!r}")
-    defaults, make_blob, build = KINDS[kind]
-    config = _with_defaults(spec.get("config", {}), defaults, "config")
+    factory = KINDS[kind]
+    config = _with_defaults(spec.get("config", {}), config_defaults(factory), "config")
+    if "policy" in config:
+        policy = _with_defaults(config["policy"], _fields(PersonPinPolicy), "config.policy")
+        config["policy"] = PersonPinPolicy(**policy)
+    # a params file replaces the built blob as it is, so an empty file fails BAD_CRC
     params = spec.get("params")
     if isinstance(params, str) and not params.startswith("builtin"):
         with open(params, "rb") as f:
-            blob = f.read()
-    else:
-        blob = make_blob(config)
-    return build(config, blob)
+            config["params"] = f.read()
+    return factory(**config)
 
 
 def _default_wiring(device_id: str, device: SensorDevice) -> dict[str, str]:

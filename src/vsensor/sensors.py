@@ -10,6 +10,7 @@ loaded parameters.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,13 @@ from .devkit import (
     SerialDecl,
     pack_blob,
 )
-from .stimuli.audio import FeatureWindow, detect_keywords, keyword_templates
+from .stimuli.audio import (
+    FEATURE_DIM,
+    MATCH_THRESHOLD,
+    FeatureWindow,
+    detect_keywords,
+    word_signature,
+)
 from .stimuli.imu import ImuWindow, TapParams, detect_tap
 from .stimuli.scene import (
     Detection,
@@ -36,8 +43,6 @@ from .stimuli.scene import (
 from .stimuli.sevenseg import Reading, decode_display
 from .vbus import HIGH, LOW, LogicLevel
 
-TEXT_READER_DEFAULT_ADDRESS = 0x29
-VOICE_SERIAL_DEFAULT_ADDRESS = 0x2A
 VOICE_FIFO_DEPTH = 16
 VOICE_EMPTY_SENTINEL = b"\xff\xff"
 NO_READING_SENTINEL = b"\xff" * 8
@@ -101,35 +106,26 @@ def decode_reading(data: bytes) -> Reading | None:
     return Reading(sign == SIGN_NEGATIVE, whole, frac)
 
 
-# -- parameter payloads ------------------------------------------------------
+# -- construction -------------------------------------------------------------
 
 
-def make_person_blob(threshold: float = 0.8, figure: str = "person") -> bytes:
-    payload = struct.pack("<fB", threshold, {"person": 0, "rodent": 1}[figure])
-    return pack_blob(DeviceKind.PERSON, payload)
+def _interface(declared_outputs: str, signal_pin: str | None = None,
+               serial: SerialDecl | None = None) -> InterfaceDecl:
+    """VDD and GND, then the one signal pin if the device has one."""
+    pins = [("VDD", PinRole.POWER), ("GND", PinRole.GROUND)]
+    if signal_pin:
+        pins.append((signal_pin, PinRole.SIGNAL_OUT))
+    return InterfaceDecl(pins, serial, declared_outputs)
 
 
-def make_gaze_blob(threshold: float = 0.8) -> bytes:
-    return pack_blob(DeviceKind.GAZE, struct.pack("<f", threshold))
+def _loaded(device: SensorDevice, params: bytes | None, payload: bytes):
+    """``device`` with ``params`` loaded, or ``payload`` packed for its kind if None.
 
-
-def make_tap_blob(threshold_g: float = 1.0, refractory_ms: int = 100) -> bytes:
-    return pack_blob(DeviceKind.TAP, struct.pack("<fH", threshold_g, refractory_ms))
-
-
-def make_voice_blob(vocabulary: list[str], threshold: float = 0.82) -> bytes:
-    """Numeric matched-filter templates: threshold + one signature per word."""
-    if not (1 <= len(vocabulary) <= 255):
-        raise ValueError("vocabulary size must be in [1, 255]")
-    templates = keyword_templates(vocabulary)
-    payload = struct.pack("<fB", threshold, len(vocabulary))
-    for word in vocabulary:
-        payload += np.asarray(templates[word], dtype="<f4").tobytes()
-    return pack_blob(DeviceKind.VOICE, payload)
-
-
-def make_text_reader_blob() -> bytes:
-    return pack_blob(DeviceKind.TEXT_READER, b"")
+    Each factory below is its kind's one definition: its parameters are
+    the kind's scenario config keys, and their defaults are the kind's.
+    """
+    device.load_parameters(pack_blob(device.kind, payload) if params is None else params)
+    return device
 
 
 # -- person / gaze -----------------------------------------------------------
@@ -155,13 +151,8 @@ class _DetectorPinDevice(SensorDevice):
 
     def __init__(self, policy: PersonPinPolicy):
         self.policy = policy
-        interface = InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
-                  (self.pin_name, PinRole.SIGNAL_OUT)],
-            serial=None,
-            declared_outputs=self.declared_outputs,
-        )
-        super().__init__(interface, policy.frame_period_ms)
+        super().__init__(_interface(self.declared_outputs, self.pin_name),
+                         policy.frame_period_ms)
         self._consecutive_pos = 0
         self._consecutive_neg = 0
         self._asserted = False
@@ -220,22 +211,20 @@ class GazeDetectorDevice(_DetectorPinDevice):
         return detect_gaze(frame, self._detector_params)
 
 
-def _loaded(device: SensorDevice, params: bytes | None, make_blob, *blob_args):
-    """``device`` with ``params`` loaded, or ``make_blob(*blob_args)`` if None."""
-    device.load_parameters(params if params is not None else make_blob(*blob_args))
-    return device
-
-
 def person_detector(
-    policy: PersonPinPolicy | None = None, params: bytes | None = None
+    policy: PersonPinPolicy | None = None, params: bytes | None = None, *,
+    threshold: float = PersonParams.threshold, figure: str = PersonParams.figure,
 ) -> PersonDetectorDevice:
-    return _loaded(PersonDetectorDevice(policy or PersonPinPolicy()), params, make_person_blob)
+    payload = struct.pack("<fB", threshold, {"person": 0, "rodent": 1}[figure])
+    return _loaded(PersonDetectorDevice(policy or PersonPinPolicy()), params, payload)
 
 
 def gaze_detector(
-    policy: PersonPinPolicy | None = None, params: bytes | None = None
+    policy: PersonPinPolicy | None = None, params: bytes | None = None, *,
+    threshold: float = GazeParams.threshold,
 ) -> GazeDetectorDevice:
-    return _loaded(GazeDetectorDevice(policy or PersonPinPolicy()), params, make_gaze_blob)
+    payload = struct.pack("<f", threshold)
+    return _loaded(GazeDetectorDevice(policy or PersonPinPolicy()), params, payload)
 
 
 # -- tap ----------------------------------------------------------------------
@@ -246,16 +235,11 @@ class TapSensorDevice(SensorDevice):
     _modality = ImuWindow
     CADENCE_MS = 10
 
-    def __init__(self, pulse_ms: int = 200):
+    def __init__(self, pulse_ms: int):
         if pulse_ms < 1:
             raise ValueError("pulse_ms must be >= 1")
         self.pulse_ms = pulse_ms
-        interface = InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
-                  ("TAP", PinRole.SIGNAL_OUT)],
-            serial=None,
-            declared_outputs=f"TAP: one bit, {pulse_ms} ms pulse per detected tap",
-        )
+        interface = _interface(f"TAP: one bit, {pulse_ms} ms pulse per detected tap", "TAP")
         super().__init__(interface, self.CADENCE_MS)
         self._pulse_end: int | None = None
 
@@ -277,8 +261,12 @@ class TapSensorDevice(SensorDevice):
                 self._pulse_end = tap_at + self.pulse_ms
 
 
-def tap_sensor(pulse_ms: int = 200, params: bytes | None = None) -> TapSensorDevice:
-    return _loaded(TapSensorDevice(pulse_ms), params, make_tap_blob)
+def tap_sensor(
+    pulse_ms: int = 200, params: bytes | None = None, *,
+    threshold_g: float = TapParams.threshold_g, refractory_ms: int = TapParams.refractory_ms,
+) -> TapSensorDevice:
+    payload = struct.pack("<fH", threshold_g, refractory_ms)
+    return _loaded(TapSensorDevice(pulse_ms), params, payload)
 
 
 # -- voice ---------------------------------------------------------------------
@@ -289,18 +277,15 @@ class _VoiceCore(SensorDevice):
 
     def _configure(self, payload: bytes) -> None:
         threshold, n_words = struct.unpack_from("<fB", payload)
-        offset = 5
         if len(self._vocabulary) != n_words:
             raise DeviceError(
                 "KIND_MISMATCH",
                 f"blob carries {n_words} words, device expects {len(self._vocabulary)}",
             )
+        signatures = np.frombuffer(payload, "<f4", n_words * FEATURE_DIM, offset=5)
         self._threshold = threshold
-        self._templates = {}
-        for word in self._vocabulary:
-            vec = np.frombuffer(payload, dtype="<f4", count=13, offset=offset)
-            self._templates[word] = vec.astype(np.float64)
-            offset += 13 * 4
+        self._templates = dict(zip(self._vocabulary,
+                                   signatures.reshape(n_words, FEATURE_DIM).astype(np.float64)))
 
     def _recognitions(self, t: int) -> list[tuple[int, str]]:
         """(absolute time, word) events from all due windows, time-ordered."""
@@ -320,12 +305,7 @@ class VoicePinDevice(_VoiceCore):
 
     def __init__(self):
         self._vocabulary = ["on", "off"]
-        interface = InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND),
-                  ("STATE", PinRole.SIGNAL_OUT)],
-            serial=None,
-            declared_outputs="STATE: one bit, latched high on 'on', low on 'off'",
-        )
+        interface = _interface("STATE: one bit, latched high on 'on', low on 'off'", "STATE")
         super().__init__(interface, self.CADENCE_MS)
 
     def _step(self, t, port) -> None:
@@ -343,15 +323,12 @@ class VoiceSerialDevice(_VoiceCore):
     kind = DeviceKind.VOICE
     CADENCE_MS = 100
 
-    def __init__(self, vocabulary: list[str], address: int = VOICE_SERIAL_DEFAULT_ADDRESS):
+    def __init__(self, vocabulary: list[str], address: int):
         if not (1 <= len(vocabulary) <= 255):
             raise ValueError("vocabulary size must be in [1, 255]")
         self._vocabulary = list(vocabulary)
-        interface = InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND)],
-            serial=SerialDecl(address, register_map_len=2, packet_spec_id="cmd-packet-v1"),
-            declared_outputs="serial: 2-byte command packets (index, sequence)",
-        )
+        serial = SerialDecl(address, register_map_len=2, packet_spec_id="cmd-packet-v1")
+        interface = _interface("serial: 2-byte command packets (index, sequence)", serial=serial)
         super().__init__(interface, self.CADENCE_MS)
         self._fifo: list[bytes] = []
         self._sequence = 0
@@ -377,16 +354,27 @@ class VoiceSerialDevice(_VoiceCore):
         return out[:n]
 
 
-def voice_sensor_pin(params: bytes | None = None) -> VoicePinDevice:
-    return _loaded(VoicePinDevice(), params, make_voice_blob, ["on", "off"])
+def _voice_payload(vocabulary: Sequence[str], threshold: float) -> bytes:
+    """Threshold, word count, then each word's signature as 13 float32s."""
+    signatures = np.array([word_signature(w) for w in vocabulary], dtype="<f4")
+    return struct.pack("<fB", threshold, len(vocabulary)) + signatures.tobytes()
+
+
+def voice_sensor_pin(
+    params: bytes | None = None, *, threshold: float = MATCH_THRESHOLD
+) -> VoicePinDevice:
+    device = VoicePinDevice()
+    return _loaded(device, params, _voice_payload(device._vocabulary, threshold))
 
 
 def voice_sensor_serial(
-    vocabulary: list[str],
-    address: int = VOICE_SERIAL_DEFAULT_ADDRESS,
-    params: bytes | None = None,
+    vocabulary: Sequence[str] = ("on", "off"),
+    address: int = 0x2A,
+    params: bytes | None = None, *,
+    threshold: float = MATCH_THRESHOLD,
 ) -> VoiceSerialDevice:
-    return _loaded(VoiceSerialDevice(vocabulary, address), params, make_voice_blob, vocabulary)
+    device = VoiceSerialDevice(vocabulary, address)
+    return _loaded(device, params, _voice_payload(vocabulary, threshold))
 
 
 # -- text reader ----------------------------------------------------------------
@@ -399,12 +387,9 @@ class TextReaderDevice(SensorDevice):
     _modality = Frame
     REFRESH_PERIOD_MS = 500
 
-    def __init__(self, address: int = TEXT_READER_DEFAULT_ADDRESS):
-        interface = InterfaceDecl(
-            pins=[("VDD", PinRole.POWER), ("GND", PinRole.GROUND)],
-            serial=SerialDecl(address, register_map_len=8, packet_spec_id="bcd-reading-v1"),
-            declared_outputs="serial: signed BCD whole and fraction words",
-        )
+    def __init__(self, address: int):
+        serial = SerialDecl(address, register_map_len=8, packet_spec_id="bcd-reading-v1")
+        interface = _interface("serial: signed BCD whole and fraction words", serial=serial)
         super().__init__(interface, self.REFRESH_PERIOD_MS)
         self._registers = NO_READING_SENTINEL
 
@@ -432,7 +417,5 @@ class TextReaderDevice(SensorDevice):
         return padded[:n]
 
 
-def text_reader(
-    address: int = TEXT_READER_DEFAULT_ADDRESS, params: bytes | None = None
-) -> TextReaderDevice:
-    return _loaded(TextReaderDevice(address), params, make_text_reader_blob)
+def text_reader(address: int = 0x29, params: bytes | None = None) -> TextReaderDevice:
+    return _loaded(TextReaderDevice(address), params, b"")

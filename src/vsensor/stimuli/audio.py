@@ -29,8 +29,7 @@ CONFUSABLE = {"often": ("off", 0.88)}  # distractor -> (target, cosine)
 
 @dataclass
 class FeatureWindow:
-    frames: np.ndarray  # (n, 13)
-    hop_ms: int = HOP_MS
+    frames: np.ndarray  # (n, 13), one row per HOP_MS
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -41,7 +40,7 @@ class FeatureWindow:
 
     @property
     def duration_ms(self) -> int:
-        return self.frames.shape[0] * self.hop_ms
+        return self.frames.shape[0] * HOP_MS
 
 
 @dataclass
@@ -137,7 +136,7 @@ def detect_keywords(
         )
     best = cos.max(axis=1)
     which = cos.argmax(axis=1)
-    refractory = max(1, REFRACTORY_MS // window.hop_ms)
+    refractory = max(1, REFRACTORY_MS // HOP_MS)
     out: list[KeywordEvent] = []
     last = -refractory
     n = len(best)
@@ -148,7 +147,7 @@ def detect_keywords(
         k0, k1 = max(0, j - WORD_FRAMES), min(n, j + WORD_FRAMES)
         proj = np.maximum(window.frames[k0:k1] @ mat[which[j]], 0.0)
         center = float((np.arange(k0, k1) * proj).sum() / proj.sum())
-        onset = max(0, round((center - (WORD_FRAMES - 1) / 2) * window.hop_ms))
+        onset = max(0, round((center - (WORD_FRAMES - 1) / 2) * HOP_MS))
         out.append(KeywordEvent(words[which[j]], onset, float(best[j])))
         last = j
     return out

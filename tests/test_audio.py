@@ -3,6 +3,7 @@ import pytest
 
 from vsensor.stimuli.audio import (
     FEATURE_DIM,
+    HOP_MS,
     FeatureWindow,
     detect_keyword,
     detect_keywords,
@@ -52,7 +53,7 @@ class TestSynthAudio:
         # scripted at 1,698 ms, the word is embedded from frame 84 (1,680 ms)
         clean = synth_audio([("on", 1698)], VOCAB, seed=0, noise_sigma=0.0)
         voiced = np.flatnonzero(np.linalg.norm(clean.frames, axis=1))
-        assert voiced[0] == 84 and voiced[0] * clean.hop_ms == 1680
+        assert voiced[0] == 84 and voiced[0] * HOP_MS == 1680
         for seed in range(25):
             ev = detect_keyword(synth_audio([("on", 1698)], VOCAB, seed), TEMPLATES)
             assert ev is not None and ev.word == "on"

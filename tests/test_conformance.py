@@ -13,7 +13,7 @@ from vsensor.conformance import (
     trial_seed,
 )
 from vsensor.devkit import DeviceError, DeviceKind
-from vsensor.sensors import make_person_blob, person_detector, tap_sensor
+from vsensor.sensors import person_detector, tap_sensor
 
 SMALL = TestProtocol(
     DeviceKind.PERSON,
@@ -123,7 +123,7 @@ class TestCompare:
         assert all(d.tpr_delta == 0 and d.fpr_delta == 0 for d in cmpres.deltas)
 
     def test_raised_threshold_never_raises_fpr(self, small_report):
-        strict = lambda: person_detector(params=make_person_blob(threshold=0.9))
+        strict = lambda: person_detector(threshold=0.9)
         rep = run(strict, SMALL)
         cmpres = compare(small_report, rep)
         assert all(d.fpr_delta <= 0 for d in cmpres.deltas)
@@ -170,7 +170,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("factory,order", [
         (person_detector, None),
-        (lambda: person_detector(params=make_person_blob(threshold=0.6)), None),
+        (lambda: person_detector(threshold=0.6), None),
         (person_detector, _shuffled_pairs(TINY)),
     ], ids=["person_detector", "lambda_factory", "shuffled_order"])
     def test_report_independent_of_cpu_count(self, factory, order, monkeypatch):

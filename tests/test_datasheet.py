@@ -230,8 +230,8 @@ class TestAttachPerformance:
 
 
 def test_datasheet_for_device_truthful_for_every_kind():
-    for defaults, make_blob, build in KINDS.values():
-        dev = build(defaults, make_blob(defaults))
+    for factory in KINDS.values():
+        dev = factory()
         ds = Datasheet(datasheet_for_device(dev))
         assert validate(ds) == []
         assert cross_check(ds, dev, []) == []

@@ -1,12 +1,12 @@
-"""The stimulus table: its schema comes from the stimulus dataclasses and
-the README lists every key."""
+"""The kind and stimulus tables: their schemas come from the factories and
+the stimulus dataclasses, and the README lists every key."""
 
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from vsensor.scenario import _MODALITIES
+from vsensor.scenario import _MODALITIES, KINDS, config_defaults
 from vsensor.stimuli.scene import SceneParams
 from vsensor.stimuli.sevenseg import DisplayLayout, DisplayParams
 
@@ -45,6 +45,18 @@ def _readme_row(first_cell: str) -> str:
     rows = [ln for ln in readme.splitlines() if ln.startswith(f"| {first_cell} |")]
     assert len(rows) == 1, first_cell
     return rows[0]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_readme_lists_every_config_key(kind):
+    row = _readme_row(f"`{kind}`")
+    assert all(f"`{k}`" in row for k in config_defaults(KINDS[kind])), row
+
+
+def test_config_keys_are_factory_keywords_and_policy_is_an_object():
+    assert list(config_defaults(KINDS["PERSON"])) == ["policy", "threshold", "figure"]
+    assert config_defaults(KINDS["GAZE"])["policy"] == {}
+    assert all("params" not in config_defaults(f) for f in KINDS.values())
 
 
 @pytest.mark.parametrize("modality", list(_MODALITIES))

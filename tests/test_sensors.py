@@ -1,14 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
-from vsensor.devkit import DeviceError, DeviceKind, power_on
+from vsensor.devkit import DeviceError, DeviceKind, pack_blob, power_on
+from vsensor.scenario import KINDS
 from vsensor.sensors import (
     PersonPinPolicy,
     gaze_detector,
-    make_gaze_blob,
-    make_person_blob,
-    make_tap_blob,
-    make_voice_blob,
     person_detector,
     tap_sensor,
     text_reader,
@@ -16,7 +15,7 @@ from vsensor.sensors import (
     voice_sensor_serial,
 )
 from vsensor.stimuli.imu import synth_imu
-from vsensor.stimuli.audio import synth_audio
+from vsensor.stimuli.audio import synth_audio, word_signature
 from vsensor.stimuli.scene import Frame, SceneParams, render_scene
 from vsensor.stimuli.sevenseg import Reading, render_display
 from vsensor.vbus import Bus, Direction, high_intervals
@@ -65,7 +64,7 @@ class TestPersonDetector:
 
     def test_wrong_blob_kind(self):
         with pytest.raises(DeviceError) as e:
-            person_detector(params=make_tap_blob())
+            person_detector(params=pack_blob(DeviceKind.TAP, struct.pack("<fH", 1.0, 100)))
         assert e.value.code == "KIND_MISMATCH"
 
     def test_wrong_modality(self):
@@ -76,7 +75,7 @@ class TestPersonDetector:
 
     def test_interchangeable_interfaces(self):
         a = person_detector()
-        b = person_detector(params=make_person_blob(threshold=0.95, figure="rodent"))
+        b = person_detector(threshold=0.95, figure="rodent")
         assert a.interface == b.interface
 
 
@@ -190,7 +189,8 @@ class TestVoiceSerial:
 
     def test_vocabulary_size_blob_guard(self):
         with pytest.raises(DeviceError) as e:
-            voice_sensor_serial(["a", "b"], params=make_voice_blob(["a"]))
+            one_word = struct.pack("<fB", 0.82, 1) + bytes(13 * 4)
+            voice_sensor_serial(["a", "b"], params=pack_blob(DeviceKind.VOICE, one_word))
         assert e.value.code == "KIND_MISMATCH"
 
 
@@ -226,11 +226,45 @@ class TestTextReader:
         assert bus.i2c_transfer(0x30, Direction.READ, 8).payload == b"\xff" * 8
 
 
-class TestBlobs:
-    def test_blob_kinds(self):
-        from vsensor.devkit import unpack_blob
+def _voice_payload(threshold, words):
+    signatures = b"".join(np.asarray(word_signature(w), "<f4").tobytes() for w in words)
+    return struct.pack("<fB", threshold, len(words)) + signatures
 
-        assert unpack_blob(make_person_blob())[1] == DeviceKind.PERSON
-        assert unpack_blob(make_gaze_blob())[1] == DeviceKind.GAZE
-        assert unpack_blob(make_tap_blob())[1] == DeviceKind.TAP
-        assert unpack_blob(make_voice_blob(["x"]))[1] == DeviceKind.VOICE
+
+# each kind's default parameter payload, packed by hand in the .mlsp layout
+DEFAULT_PAYLOADS = {
+    "PERSON": (DeviceKind.PERSON, struct.pack("<fB", 0.8, 0)),
+    "GAZE": (DeviceKind.GAZE, struct.pack("<f", 0.8)),
+    "TAP": (DeviceKind.TAP, struct.pack("<fH", 1.0, 100)),
+    "VOICE_PIN": (DeviceKind.VOICE, _voice_payload(0.82, ["on", "off"])),
+    "VOICE_SERIAL": (DeviceKind.VOICE, _voice_payload(0.82, ["on", "off"])),
+    "TEXT_READER": (DeviceKind.TEXT_READER, b""),
+}
+
+
+class TestBlobs:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_default_payload(self, kind):
+        device = KINDS[kind]()
+        assert (device.kind, device._params_payload) == DEFAULT_PAYLOADS[kind]
+
+    def test_packed_blobs_configure_the_detectors(self):
+        rodent = pack_blob(DeviceKind.PERSON, struct.pack("<fB", 0.95, 1))
+        params = person_detector(params=rodent)._detector_params
+        assert (params.threshold, params.figure) == (np.float32(0.95), "rodent")
+        tap = tap_sensor(params=pack_blob(DeviceKind.TAP, struct.pack("<fH", 2.5, 40)))
+        assert (tap._detector_params.threshold_g, tap._detector_params.refractory_ms) == (2.5, 40)
+        blob = pack_blob(DeviceKind.VOICE, _voice_payload(0.9, ["go", "stop"]))
+        voice = voice_sensor_serial(["go", "stop"], params=blob)
+        assert voice._threshold == np.float32(0.9)
+        for word in ("go", "stop"):
+            expect = np.asarray(word_signature(word), "<f4").astype(np.float64)
+            assert np.array_equal(voice._templates[word], expect)
+
+    def test_factory_keywords_pack_the_same_blob(self):
+        assert person_detector(threshold=0.95, figure="rodent")._params_payload == \
+            struct.pack("<fB", 0.95, 1)
+        assert tap_sensor(threshold_g=2.5, refractory_ms=40)._params_payload == \
+            struct.pack("<fH", 2.5, 40)
+        assert voice_sensor_serial(["go", "stop"], threshold=0.9)._params_payload == \
+            _voice_payload(0.9, ["go", "stop"])
