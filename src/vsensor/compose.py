@@ -9,7 +9,7 @@ gated-event window boundary is inclusive, and the latch reset wins ties.
 
 from __future__ import annotations
 
-from .vbus import HIGH, LOW, Bus, PinTrace, high_spans
+from .vbus import HIGH, LOW, PinTrace, high_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
 
@@ -114,26 +114,13 @@ def sr_latch(set_line: PinTrace, reset_line: PinTrace) -> PinTrace:
     return out
 
 
-def gaze_voice_demo(
-    bus: Bus,
-    gaze_device,
-    voice_pin_device,
-    window_ms: int = DEFAULT_GAZE_WINDOW_MS,
-    line_id: str = "LIGHT_ON",
-) -> None:
+def gaze_voice(
+    gaze: PinTrace, state: PinTrace, window_ms: int = DEFAULT_GAZE_WINDOW_MS
+) -> PinTrace:
     """Gaze-gated light switch: say "on"/"off" while looking at it.
 
-    LIGHT_ON latches HIGH on a gaze-gated "on" (STATE rising edge) and
-    LOW on a gaze-gated "off" (STATE falling edge).
+    HIGH from a gaze-gated "on" (``state`` rising edge) until a
+    gaze-gated "off" (``state`` falling edge).
     """
-    gaze_line = gaze_device._port.line_id(gaze_device.pin_name)
-    state_line = voice_pin_device._port.line_id("STATE")
-
-    def compute(b: Bus) -> PinTrace:
-        gaze = b.trace(gaze_line)
-        state = b.trace(state_line)
-        set_pulses = gated_event(state, gaze, window_ms)
-        reset_pulses = gated_event(invert(state), gaze, window_ms)
-        return sr_latch(set_pulses, reset_pulses)
-
-    bus.add_virtual_line(line_id, compute)
+    return sr_latch(gated_event(state, gaze, window_ms),
+                    gated_event(invert(state), gaze, window_ms))

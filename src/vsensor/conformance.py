@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .datasheet import canonical_json
-from .devkit import DeviceError, DeviceKind, SensorDevice, power_on
+from .devkit import DeviceError, DeviceKind, power_on
 from .sensors import gaze_detector, person_detector
 from .stimuli.scene import SceneParams, render_scene
 from .vbus import Bus

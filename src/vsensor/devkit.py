@@ -122,9 +122,6 @@ class DevicePort:
         self._bus = bus
         self._pin_lines = pin_lines
 
-    def line_id(self, pin: str) -> str:
-        return self._pin_lines[pin]
-
     def drive(self, pin: str, level: LogicLevel, at: int) -> None:
         line_id = self._pin_lines[pin]
         if self._bus.lines[line_id].append(at, level):
@@ -133,7 +130,9 @@ class DevicePort:
 
 class SensorDevice:
     """A powered virtual component: declared interface, private state,
-    private stimulus channel.  Subclasses implement the inference core.
+    private stimulus channel.  Subclasses implement the inference core as
+    ``_configure(payload)``, given each loaded parameter payload, and
+    ``_step(t, port)``, called every ``cadence_ms`` once powered.
     """
 
     kind: DeviceKind
@@ -146,9 +145,8 @@ class SensorDevice:
         self._params_payload: bytes | None = None
         # (at, stimulus), sorted by time; FIFO among equal times
         self._stimuli: list[tuple[int, object]] = []
-        self._port: DevicePort | None = None
 
-    # host-facing surface: interface, kind, cadence, powered -- nothing else
+    # host-facing surface: interface, kind, cadence -- nothing else
 
     @property
     def interface(self) -> InterfaceDecl:
@@ -157,10 +155,6 @@ class SensorDevice:
     @property
     def cadence_ms(self) -> int:
         return self._cadence_ms
-
-    @property
-    def powered(self) -> bool:
-        return self._powered
 
     def timing(self) -> dict[str, int]:
         """Timing constants cross-checked against the datasheet."""
@@ -186,14 +180,6 @@ class SensorDevice:
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
         bisect.insort_right(self._stimuli, (at, stimulus), key=_time_of)
-
-    # subclass hooks ------------------------------------------------------
-
-    def _configure(self, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def _step(self, t: int, port: DevicePort) -> None:
-        raise NotImplementedError
 
     def serial_read(self, n: int, at: int) -> bytes:
         raise DeviceError("NO_SERIAL", f"{self.kind.name} device has no serial interface")
@@ -229,7 +215,6 @@ def power_on(device: SensorDevice, bus: Bus, wiring: dict[str, str]) -> SensorDe
             bus.add_line(line_id, LOW)
         pin_lines[pin] = line_id
     port = DevicePort(bus, pin_lines)
-    device._port = port
     device._powered = True
     bus.attach_stepper(device.cadence_ms, lambda t: device._step(t, port))
     if serial is not None:

@@ -17,10 +17,7 @@ from dataclasses import dataclass, field, fields
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
 from .sensors import (
-    GazeDetectorDevice,
-    PersonDetectorDevice,
     PersonPinPolicy,
-    VoicePinDevice,
     gaze_detector,
     person_detector,
     tap_sensor,
@@ -87,9 +84,10 @@ def config_defaults(factory) -> dict:
 
 
 # combinator -> (function, keys naming its input lines, numeric keys with
-# their defaults).  gaze_voice takes device ids rather than lines.
+# their defaults).  gaze_voice's keys name devices, read through the lines
+# their DETECT and STATE pins are wired to.
 _COMBINATORS = {
-    "gaze_voice": (compose_mod.gaze_voice_demo, ("gaze", "voice"),
+    "gaze_voice": (compose_mod.gaze_voice, ("gaze", "voice"),
                    {"window_ms": compose_mod.DEFAULT_GAZE_WINDOW_MS}),
     "gated_event": (compose_mod.gated_event, ("event", "gate"), {"window_ms": 0}),
     "debounce": (compose_mod.debounce, ("line",), {"hold_ms": 0}),
@@ -218,18 +216,16 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
                 raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
             sources = [args[k] for k in inputs]
             if name == "gaze_voice":
-                gaze, voice = (result.devices[s] for s in sources)
-                if not (isinstance(gaze, (PersonDetectorDevice, GazeDetectorDevice))
-                        and isinstance(voice, VoicePinDevice)):
+                pins = [result.devices[s].interface.signal_pins() for s in sources]
+                if pins != [["DETECT"], ["STATE"]]:
                     raise ScenarioError("gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN")
-                fn(result.bus, gaze, voice, *numbers, args["line_id"])
-            else:
-                result.bus.add_virtual_line(
-                    args["line_id"],
-                    lambda b, fn=fn, sources=sources, numbers=numbers: fn(
-                        *map(b.trace, sources), *numbers
-                    ),
-                )
+                sources = [result.wiring[s][p] for s, (p,) in zip(sources, pins)]
+            result.bus.add_virtual_line(
+                args["line_id"],
+                lambda b, fn=fn, sources=sources, numbers=numbers: fn(
+                    *map(b.trace, sources), *numbers
+                ),
+            )
 
 
 def run_scenario(doc: dict) -> ScenarioResult:

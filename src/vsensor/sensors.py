@@ -1,6 +1,6 @@
 """The five concrete ML-sensor devices with bit-exact interface semantics.
 
-Pin names are fixed per kind: PERSON/GAZE -> {VDD, GND, DETECT|GAZE},
+Pin names are fixed per kind: PERSON/GAZE -> {VDD, GND, DETECT},
 TAP -> {VDD, GND, TAP}, VOICE (pin mode) -> {VDD, GND, STATE}.  Serial
 register layouts are big-endian words.  Two devices of the same kind
 always expose identical interface declarations regardless of their
@@ -143,7 +143,7 @@ class PersonPinPolicy:
 
 
 class _DetectorPinDevice(SensorDevice):
-    """Shared DETECT/GAZE pin semantics: rise/fall frame debounce."""
+    """Shared DETECT pin semantics: rise/fall frame debounce of ``_detect(frame)``."""
 
     _modality = Frame
     pin_name = "DETECT"
@@ -156,9 +156,6 @@ class _DetectorPinDevice(SensorDevice):
         self._consecutive_pos = 0
         self._consecutive_neg = 0
         self._asserted = False
-
-    def _detect(self, frame: Frame) -> Detection:
-        raise NotImplementedError
 
     def timing(self) -> dict[str, int]:
         return {

@@ -69,10 +69,6 @@ def word_signature(word: str) -> np.ndarray:
     return _seeded_unit_vector("word:" + word)
 
 
-def keyword_templates(vocabulary: list[str]) -> dict[str, np.ndarray]:
-    return {w: word_signature(w) for w in vocabulary}
-
-
 def synth_audio(
     script: list[tuple[str, int]],
     vocabulary: list[str],
@@ -151,13 +147,3 @@ def detect_keywords(
         out.append(KeywordEvent(words[which[j]], onset, float(best[j])))
         last = j
     return out
-
-
-def detect_keyword(
-    window: FeatureWindow,
-    templates: dict[str, np.ndarray],
-    threshold: float = MATCH_THRESHOLD,
-) -> KeywordEvent | None:
-    """First detection in the window, or None."""
-    events = detect_keywords(window, templates, threshold)
-    return events[0] if events else None

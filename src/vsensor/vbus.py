@@ -57,9 +57,6 @@ class HighInterval:
     end: int
     open_ended: bool = False
 
-    def __iter__(self):
-        return iter((self.start, self.end))
-
     @property
     def length(self) -> int:
         return self.end - self.start
@@ -118,9 +115,6 @@ class PinTrace:
 
     def rising_edges(self) -> list[int]:
         return [t for t, lvl in self.transitions if lvl == HIGH]
-
-    def falling_edges(self) -> list[int]:
-        return [t for t, lvl in self.transitions if lvl == LOW]
 
 
 def high_spans(trace: PinTrace) -> list[tuple[int, int | None]]:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from vsensor.cli import main as cli_main
-from vsensor.compose import gated_event, gaze_voice_demo, sr_latch
+from vsensor.compose import gated_event, gaze_voice, sr_latch
 from vsensor.conformance import TestProtocol, run
 from vsensor.datasheet import (
     Datasheet,
@@ -46,7 +46,7 @@ from vsensor.sensors import (
     voice_sensor_pin,
     voice_sensor_serial,
 )
-from vsensor.stimuli.audio import detect_keywords, keyword_templates, synth_audio
+from vsensor.stimuli.audio import detect_keywords, synth_audio, word_signature
 from vsensor.stimuli.imu import synth_imu
 from vsensor.stimuli.scene import Frame, SceneParams, render_scene
 from vsensor.stimuli.sevenseg import (
@@ -58,7 +58,7 @@ from vsensor.stimuli.sevenseg import (
     render_display,
     segment_lookup,
 )
-from vsensor.vbus import HIGH, Bus, Direction, PinTrace, high_intervals
+from vsensor.vbus import HIGH, LOW, Bus, Direction, PinTrace, high_intervals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -135,7 +135,8 @@ def test_criterion_1_interface_contracts():
             dev.feed_stimulus(frame, k * 100)
         bus.advance(3200)
         trace = bus.trace("out")
-        (rise,), (fall,) = trace.rising_edges(), trace.falling_edges()
+        falling = [t for t, lvl in trace.transitions if lvl == LOW]
+        (rise,), (fall,) = trace.rising_edges(), falling
         second_pos, second_neg = 600, 2100
         assert second_pos <= rise <= second_pos + 200
         assert second_neg <= fall <= second_neg + 200
@@ -143,7 +144,7 @@ def test_criterion_1_interface_contracts():
         # (c) voice pin: latched semantics on 500 randomized scripts
         # against a tick-by-tick oracle
         vocab = ["on", "off"]
-        templates = keyword_templates(vocab)
+        templates = {w: word_signature(w) for w in vocab}
         for i in range(500):
             rng = np.random.default_rng(20_000 + i)
             times = sorted(int(t) for t in rng.integers(1, 5, size=rng.integers(0, 5)))
@@ -419,7 +420,7 @@ def _run_gaze_voice(facing: bool):
     gaze, voice = gaze_detector(), voice_sensor_pin()
     power_on(gaze, bus, {"VDD": "vdd", "GND": "gnd", "DETECT": "g.DETECT"})
     power_on(voice, bus, {"VDD": "vdd", "GND": "gnd", "STATE": "v.STATE"})
-    gaze_voice_demo(bus, gaze, voice)
+    bus.add_virtual_line("LIGHT_ON", lambda b: gaze_voice(b.trace("g.DETECT"), b.trace("v.STATE")))
     frame = render_scene(SceneParams(True, facing, 1.0, 800, 4.0, seed=13))
     for k in range(30):
         gaze.feed_stimulus(frame, k * 100)

@@ -5,15 +5,19 @@ from vsensor.stimuli.audio import (
     FEATURE_DIM,
     HOP_MS,
     FeatureWindow,
-    detect_keyword,
     detect_keywords,
-    keyword_templates,
     synth_audio,
     word_signature,
 )
 
 VOCAB = ["on", "off"]
-TEMPLATES = keyword_templates(VOCAB)
+TEMPLATES = {w: word_signature(w) for w in VOCAB}
+
+
+def detect_keyword(window, templates):
+    """First detection in the window, or None."""
+    events = detect_keywords(window, templates)
+    return events[0] if events else None
 
 
 class TestSignatures:

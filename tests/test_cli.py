@@ -135,6 +135,21 @@ MALFORMED = [
       "devices": [{"id": "t", "kind": "TAP"}, {"id": "v", "kind": "VOICE_PIN"}],
       "composites": [{"combinator": "gaze_voice", "line_id": "L", "gaze": "t", "voice": "v"}]},
      "composites[0]: gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN"),
+    ("gaze_voice_serial_voice", "simulate",
+     {"duration_ms": 200,
+      "devices": [{"id": "g", "kind": "GAZE"}, {"id": "v", "kind": "VOICE_SERIAL"}],
+      "composites": [{"combinator": "gaze_voice", "line_id": "L", "gaze": "g", "voice": "v"}]},
+     "composites[0]: gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN"),
+    ("simulate_invalid_json", "simulate", b'{"duration_ms": 200,',
+     "doc.json: invalid JSON at line 1"),
+    ("crosscheck_unknown_device",
+     "datasheet crosscheck person.mlsd.json --device nope --device-from",
+     _one_device("PERSON"), "no device 'nope' in scenario"),
+    ("audit_no_pinout", "audit exposure.csv", {"identity": {}},
+     "datasheet has no comm_spec_pinout section"),
+    ("audit_malformed_pinout", "audit exposure.csv",
+     {"comm_spec_pinout": {"pins": [{"name": "VDD", "role": "antenna"}]}},
+     "malformed comm_spec_pinout: 'antenna' is not a valid PinRole"),
     ("simulate_seed_on_list", "simulate --seed 3", [1], "top level must be a JSON object"),
     ("conformance_seed_on_list", "conformance --seed 3", [1],
      "top level must be a JSON object"),
@@ -225,6 +240,17 @@ class TestDatasheetCommands:
                    "--device-from", FIXTURES / "person_scenario.json")
         assert code == 1
         assert "PINOUT_MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,expected", [
+        ('{\n  "a": 1,\n}\n', "(line 3, col 1)"),
+        ('{"a": 1, "a": 2}', "parse error: duplicate key 'a'\n"),
+    ], ids=["json_syntax", "duplicate_key"])
+    def test_parse_error_exit_1(self, text, expected, tmp_path, capsys):
+        bad = tmp_path / "bad.mlsd.json"
+        bad.write_text(text)
+        assert run("datasheet", "validate", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and expected in err
 
     def test_crosscheck_requires_scenario(self, capsys):
         code = run("datasheet", "crosscheck", FIXTURES / "person.mlsd.json")

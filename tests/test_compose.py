@@ -4,7 +4,7 @@ import pytest
 from vsensor.compose import (
     debounce,
     gated_event,
-    gaze_voice_demo,
+    gaze_voice,
     invert,
     pulse_stretch,
     sr_latch,
@@ -166,7 +166,8 @@ class TestGazeVoiceDemo:
         gaze, voice = gaze_detector(), voice_sensor_pin()
         power_on(gaze, bus, {"VDD": "vdd", "GND": "gnd", "DETECT": "g.DETECT"})
         power_on(voice, bus, {"VDD": "vdd", "GND": "gnd", "STATE": "v.STATE"})
-        gaze_voice_demo(bus, gaze, voice)
+        bus.add_virtual_line(
+            "LIGHT_ON", lambda b: gaze_voice(b.trace("g.DETECT"), b.trace("v.STATE")))
         frame = render_scene(SceneParams(True, facing, 1.0, 800, 4.0, seed=11))
         for k in range(30):
             gaze.feed_stimulus(frame, k * 100)
@@ -183,3 +184,41 @@ class TestGazeVoiceDemo:
 
     def test_on_without_gaze_stays_low(self):
         assert self.run_demo(facing=False) == []
+
+
+class TestScenarioComposites:
+    def test_composite_over_a_composite(self):
+        from vsensor.scenario import run_scenario
+
+        def tap(device_id, taps):
+            return {"id": device_id, "kind": "TAP",
+                    "stimuli": [{"modality": "imu", "taps": taps, "noise_sigma": 0.0}]}
+
+        doc = {"duration_ms": 1000, "devices": [tap("a", [100, 700]), tap("b", [50])],
+               "composites": [
+                   {"combinator": "gated_event", "line_id": "g", "event": "a.TAP",
+                    "gate": "b.TAP", "window_ms": 100},
+                   {"combinator": "invert", "line_id": "n", "line": "g"}]}
+        bus = run_scenario(doc).bus
+        gated = gated_event(bus.trace("a.TAP"), bus.trace("b.TAP"), 100)
+        assert len(gated.rising_edges()) == 1
+        nested = bus.virtual_trace("n")
+        assert nested.initial_level == HIGH
+        assert nested.transitions == invert(gated).transitions
+
+    def test_gaze_voice_reads_the_wired_lines(self):
+        from vsensor.scenario import run_scenario
+
+        looking = {"person_present": True, "facing_camera": True, "illuminance_lux": 800}
+        doc = {"duration_ms": 3000, "seed": 2024, "devices": [
+            {"id": "gz", "kind": "GAZE", "wiring": {"VDD": "vdd", "GND": "gnd", "DETECT": "eye"},
+             "stimuli": [{"modality": "scene", "count": 30, "params": looking}]},
+            {"id": "vc", "kind": "VOICE_PIN", "wiring": {"VDD": "vdd", "GND": "gnd", "STATE": "mic"},
+             "stimuli": [{"modality": "audio", "script": [["on", 1000], ["off", 2200]]}]}],
+            "composites": [{"combinator": "gaze_voice", "line_id": "LIGHT_ON",
+                            "gaze": "gz", "voice": "vc"}]}
+        bus = run_scenario(doc).bus
+        assert set(bus.lines) == {"eye", "mic"}
+        light = bus.virtual_trace("LIGHT_ON")
+        assert len(light.rising_edges()) == 1
+        assert light.transitions == gaze_voice(bus.trace("eye"), bus.trace("mic"), 500).transitions

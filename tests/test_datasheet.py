@@ -141,6 +141,10 @@ class TestRender:
             render(load("missing_nutrition.mlsd.json"))
         assert e.value.code == "INVALID_DATASHEET"
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown render mode 'bogus'"):
+            render(load("person.mlsd.json"), "bogus")
+
 
 class TestCrossCheck:
     def run_person(self):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsensor.devkit import DeviceError, power_on
 from vsensor.scenario import run_scenario
+from vsensor.sensors import text_reader
 from vsensor.vbus import (
     EXPOSURE_COLUMNS,
     HIGH,
@@ -60,7 +62,7 @@ class TestPinTrace:
         tr.append(10, LOW)
         tr.append(20, HIGH)
         assert tr.rising_edges() == [5, 20]
-        assert tr.falling_edges() == [10]
+        assert [t for t, lvl in tr.transitions if lvl == LOW] == [10]
 
 
 class TestHighIntervals:
@@ -171,6 +173,17 @@ class TestBus:
         assert txn.status == Status.NACK
         rec = bus.exposure_log[0]
         assert (rec.at, rec.channel, rec.detail, rec.bits) == (7, "SERIAL", "0x55", 48)
+
+    def test_i2c_write_to_device_without_serial_write(self):
+        bus = Bus()
+        power_on(text_reader(), bus, {"VDD": "vdd", "GND": "gnd"})
+        bus.advance(3)
+        with pytest.raises(DeviceError) as e:
+            bus.i2c_transfer(0x29, Direction.WRITE, b"\x01")
+        assert e.value.code == "NO_SERIAL"
+        # the written byte crossed the wire before the device refused it
+        rec, = bus.exposure_log
+        assert (rec.at, rec.channel, rec.detail, rec.bits) == (3, "SERIAL", "0x29", 8)
 
     def test_i2c_short_response_rejected(self):
         class Bad:
