@@ -346,7 +346,7 @@ def _exposure_findings(
             token = f"PIN:{pin}"
         else:
             token = f"{rec.channel}:{rec.detail}"
-        observed.setdefault(token, rec.at)
+        observed.setdefault(token, rec.time_ms)
     return [
         Finding(
             "UNDECLARED_EXPOSURE",

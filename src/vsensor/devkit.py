@@ -132,7 +132,9 @@ class SensorDevice:
     """A powered virtual component: declared interface, private state,
     private stimulus channel.  Subclasses implement the inference core as
     ``_configure(payload)``, given each loaded parameter payload, and
-    ``_step(t, port)``, called every ``cadence_ms`` once powered.
+    ``_step(t, port)``, called every ``cadence_ms`` once powered.  A device
+    that declares a serial interface also implements ``serial_read(n, at)``
+    over its read-only register map.
     """
 
     kind: DeviceKind
@@ -180,12 +182,6 @@ class SensorDevice:
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
         bisect.insort_right(self._stimuli, (at, stimulus), key=_time_of)
-
-    def serial_read(self, n: int, at: int) -> bytes:
-        raise DeviceError("NO_SERIAL", f"{self.kind.name} device has no serial interface")
-
-    def serial_write(self, data: bytes, at: int) -> None:
-        raise DeviceError("NO_SERIAL", f"{self.kind.name} device has no serial interface")
 
     def _pop_stimuli(self, t: int) -> list[tuple[int, object]]:
         """Drain queued stimuli with timestamp <= t, oldest first."""
@@ -269,7 +265,7 @@ def audit(
                 findings.append(
                     AuditFinding(
                         "UNDECLARED_CHANNEL",
-                        f"pin emission on undeclared line {rec.detail!r} at t={rec.at}",
+                        f"pin emission on undeclared line {rec.detail!r} at t={rec.time_ms}",
                     )
                 )
         elif rec.channel == "SERIAL":
@@ -279,7 +275,7 @@ def audit(
                     AuditFinding(
                         "UNDECLARED_CHANNEL",
                         f"serial emission at undeclared address {rec.detail} "
-                        f"at t={rec.at}",
+                        f"at t={rec.time_ms}",
                     )
                 )
             elif rec.bits // 8 > interface.serial.register_map_len:
@@ -287,7 +283,7 @@ def audit(
                     AuditFinding(
                         "OVERSIZED_PAYLOAD",
                         f"{rec.bits // 8}-byte payload exceeds register map "
-                        f"length {interface.serial.register_map_len} at t={rec.at}",
+                        f"length {interface.serial.register_map_len} at t={rec.time_ms}",
                     )
                 )
         else:
@@ -304,10 +300,10 @@ def parse_exposure_csv(text: str) -> list[ExposureRecord]:
         raise ValueError("bad exposure log header")
     out = []
     for ln in lines[1:]:
-        at, channel, detail, bits = ln.split(",")
+        t, channel, detail, bits = ln.split(",")
         if channel not in ("PIN", "SERIAL"):
             raise ValueError(f"unknown channel {channel!r} in {ln!r}")
         if channel == "SERIAL" and not _HEX_ADDRESS.fullmatch(detail):
             raise ValueError(f"SERIAL detail {detail!r} is not a hex address in {ln!r}")
-        out.append(ExposureRecord(int(at), channel, detail, int(bits)))
+        out.append(ExposureRecord(int(t), channel, detail, int(bits)))
     return out

@@ -12,7 +12,7 @@ import hashlib
 import inspect
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
@@ -46,7 +46,6 @@ class ScenarioResult:
     bus: Bus
     devices: dict[str, SensorDevice]
     wiring: dict[str, dict[str, str]]
-    serial_reads: list[tuple[int, int, bytes]] = field(default_factory=list)
 
 
 def _with_defaults(given: object, defaults: dict, where: str) -> dict:
@@ -59,10 +58,9 @@ def _with_defaults(given: object, defaults: dict, where: str) -> dict:
     return {**defaults, **given}
 
 
-def _fields(cls, *omit: str, **overrides) -> dict:
-    """The fields of ``cls`` but ``seed`` (set per stimulus) and ``omit``, with defaults."""
-    return {f.name: overrides.get(f.name, f.default)
-            for f in fields(cls) if f.name not in ("seed", *omit)}
+def _fields(cls, **overrides) -> dict:
+    """The fields of ``cls`` but ``seed`` (set per stimulus), with defaults."""
+    return {f.name: overrides.get(f.name, f.default) for f in fields(cls) if f.name != "seed"}
 
 
 # scenario kind -> its factory, whose parameters less ``params`` are the
@@ -168,7 +166,7 @@ def _display_frames(e: dict, seed: int):
 # modality -> (builder of (at, stimulus) pairs from (entry, seed), the
 # entry's keys besides modality, at and seed, with defaults).  A dict
 # default is a nested object checked key by key; params and layout take
-# their dataclass fields, less the digit limits of the text reader's BCD words.
+# their dataclass fields.
 _MODALITIES = {
     "scene": (_scene_frames,
               {"every_ms": 100, "count": 1,
@@ -182,7 +180,7 @@ _MODALITIES = {
                "noise_sigma": 0.08}),
     "display": (_display_frames,
                 {"reading": None, "every_ms": 500, "count": 1, "params": _fields(DisplayParams),
-                 "layout": _fields(DisplayLayout, "max_whole_digits", "max_frac_digits")}),
+                 "layout": _fields(DisplayLayout)}),
 }
 
 
@@ -212,7 +210,7 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
             if missing:
                 raise ScenarioError(f"{name}: missing key(s) {missing}")
             numbers = [args[k] for k in numeric]
-            if not all(isinstance(n, int) and n >= 0 for n in numbers):
+            if not all(type(n) is int and n >= 0 for n in numbers):  # rejects JSON booleans
                 raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
             sources = [args[k] for k in inputs]
             if name == "gaze_voice":
@@ -233,7 +231,7 @@ def run_scenario(doc: dict) -> ScenarioResult:
     if not isinstance(doc, dict):
         raise ScenarioError("a scenario must be an object")
     duration = doc.get("duration_ms", 0)
-    if not isinstance(duration, int) or duration < 1:
+    if type(duration) is not int or duration < 1:  # rejects JSON booleans
         raise ScenarioError("duration_ms must be an integer >= 1")
     seed = doc.get("seed", 0)
     bus = Bus()
@@ -257,8 +255,8 @@ def run_scenario(doc: dict) -> ScenarioResult:
     reads = _entries(doc, "serial_reads")
     for i, read in enumerate(reads):
         at, address, n = read.get("at"), read.get("address"), read.get("n", 1)
-        integers = isinstance(at, int) and isinstance(address, int) and isinstance(n, int)
-        if not (integers and 0 < at <= duration):
+        integers = all(type(v) is int for v in (at, address, n))  # rejects JSON booleans
+        if not (integers and 0 < at <= duration and n >= 0):
             raise ScenarioError(
                 f"serial_reads[{i}]: needs integers at in (0, {duration}], address and n"
             )
@@ -268,8 +266,7 @@ def run_scenario(doc: dict) -> ScenarioResult:
         if at > clock:
             bus.advance(at - clock)
             clock = at
-        txn = bus.i2c_transfer(address, Direction.READ, read.get("n", 1))
-        result.serial_reads.append((at, address, txn.payload))
+        bus.i2c_transfer(address, Direction.READ, read.get("n", 1))
     if clock < duration:
         bus.advance(duration - clock)
     return result

@@ -40,7 +40,7 @@ from .stimuli.scene import (
     detect_gaze,
     detect_person,
 )
-from .stimuli.sevenseg import Reading, decode_display
+from .stimuli.sevenseg import MAX_FRAC_DIGITS, MAX_WHOLE_DIGITS, Reading, decode_display
 from .vbus import HIGH, LOW, LogicLevel
 
 VOICE_FIFO_DEPTH = 16
@@ -49,8 +49,6 @@ NO_READING_SENTINEL = b"\xff" * 8
 
 SIGN_POSITIVE = 0xC
 SIGN_NEGATIVE = 0xD
-MAX_WHOLE_DIGITS = 7
-MAX_FRAC_DIGITS = 8
 
 
 # -- signed packed-BCD reading protocol -------------------------------------

@@ -16,6 +16,10 @@ import numpy as np
 
 from .scene import Frame, _contrast
 
+# digit capacity of the text reader's two 32-bit BCD words
+MAX_WHOLE_DIGITS = 7
+MAX_FRAC_DIGITS = 8
+
 # cell-local geometry (pixels)
 CELL_W = 5
 CELL_H = 11
@@ -91,8 +95,6 @@ class DisplayLayout:
     x: int = 8
     y: int = 8
     rotation: int = 0  # degrees counterclockwise, multiple of 90
-    max_whole_digits: int = 7
-    max_frac_digits: int = 8
     frame_width: int = 128
     frame_height: int = 64
 
@@ -148,14 +150,10 @@ def render_display(
     """Deterministic seven-segment rendering of a reading."""
     layout = layout or DisplayLayout()
     p = p or DisplayParams()
-    if len(r.whole_digits) > layout.max_whole_digits:
-        raise LayoutOverflow(
-            f"{len(r.whole_digits)} whole digits > {layout.max_whole_digits}"
-        )
-    if len(r.frac_digits) > layout.max_frac_digits:
-        raise LayoutOverflow(
-            f"{len(r.frac_digits)} fractional digits > {layout.max_frac_digits}"
-        )
+    if len(r.whole_digits) > MAX_WHOLE_DIGITS:
+        raise LayoutOverflow(f"{len(r.whole_digits)} whole digits > {MAX_WHOLE_DIGITS}")
+    if len(r.frac_digits) > MAX_FRAC_DIGITS:
+        raise LayoutOverflow(f"{len(r.frac_digits)} fractional digits > {MAX_FRAC_DIGITS}")
     on = 20.0 + 235.0 * _contrast(p.illuminance_lux)
     patch = _render_patch(r, on)
     patch = np.rot90(patch, layout.rotation // 90)
@@ -222,7 +220,7 @@ def _decode_upright(lit: np.ndarray) -> Reading | None:
     return Reading(negative, whole, frac)
 
 
-def decode_display(frame: Frame, params: DisplayParams | None = None) -> Reading | None:
+def decode_display(frame: Frame) -> Reading | None:
     """Locate and read a seven-segment display at any right-angle rotation."""
     img = frame.pixels.astype(np.float64)
     lo, hi = float(img.min()), float(img.max())

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 _time_of = itemgetter(0)
 
@@ -28,11 +28,6 @@ HIGH = LogicLevel.HIGH
 
 I2C_ADDRESS_MIN = 0x08
 I2C_ADDRESS_MAX = 0x77
-
-# column names of the run encoders: CSV headers and JSON record fields
-TRACE_COLUMNS = ("time_ms", "line_id", "level")
-I2C_COLUMNS = ("time_ms", "address", "direction", "status", "payload_hex")
-EXPOSURE_COLUMNS = ("time_ms", "channel", "detail", "bits")
 
 
 class Direction(Enum):
@@ -62,12 +57,30 @@ class HighInterval:
         return self.end - self.start
 
 
-@dataclass
-class I2CTransaction:
+class I2CTransaction(NamedTuple):
+    """One I2C transfer: a row of the run record's I2C log."""
+
+    time_ms: int
     address: int
     direction: Direction
-    payload: bytes
     status: Status
+    payload: bytes
+
+
+class ExposureRecord(NamedTuple):
+    """One device emission crossing the isolation boundary: a row of the
+    run record's exposure log."""
+
+    time_ms: int
+    channel: str  # "PIN" or "SERIAL"
+    detail: str  # line_id for PIN, hex address for SERIAL
+    bits: int
+
+
+# column names of the run encoders: CSV headers and JSON record fields
+TRACE_COLUMNS = ("time_ms", "line_id", "level")
+I2C_COLUMNS = tuple("payload_hex" if f == "payload" else f for f in I2CTransaction._fields)
+EXPOSURE_COLUMNS = ExposureRecord._fields
 
 
 @dataclass
@@ -154,16 +167,6 @@ def _csv(columns: tuple[str, ...], rows) -> str:
     return "\n".join([",".join(columns), *rows]) + "\n"
 
 
-@dataclass
-class ExposureRecord:
-    """One device emission crossing the isolation boundary."""
-
-    at: int
-    channel: str  # "PIN" or "SERIAL"
-    detail: str  # line_id for PIN, hex address for SERIAL
-    bits: int
-
-
 class Bus:
     """Single-threaded simulation bus: lines, serial responders, clock."""
 
@@ -172,7 +175,7 @@ class Bus:
         self.lines: dict[str, PinTrace] = {}
         self.serial_responders: dict[int, object] = {}
         self.exposure_log: list[ExposureRecord] = []
-        self.i2c_log: list[tuple[int, I2CTransaction]] = []
+        self.i2c_log: list[I2CTransaction] = []
         self.virtual_lines: dict[str, Callable[["Bus"], PinTrace]] = {}
         self._steppers: list[tuple[int, Callable[[int], None]]] = []
         # (due_ms, attach index): steppers due together run in attach order
@@ -248,41 +251,33 @@ class Bus:
     def i2c_transfer(
         self, address: int, direction: Direction, n_or_bytes: int | bytes
     ) -> I2CTransaction:
-        """Atomic I2C transaction; NACK (not an error) if address is free.
+        """Atomic I2C transaction, logged as one row.
 
-        Every payload byte that crosses the wire is an emission: serviced
-        reads and write attempts (ACKed or not) both enter the exposure log.
+        Register maps are read-only, so a write is NACKed at any address, as
+        is any transfer to a free address; a NACK is not an error.  Every
+        payload byte that crosses the wire is an emission: serviced reads
+        and write attempts both enter the exposure log.
         """
         if not (I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX):
             raise BusError(f"address 0x{address:02x} outside [0x08, 0x77]")
         responder = self.serial_responders.get(address)
-        if direction == Direction.WRITE and len(bytes(n_or_bytes)) > 0:
-            self.exposure_log.append(
-                ExposureRecord(
-                    self.clock, "SERIAL", f"0x{address:02x}", 8 * len(bytes(n_or_bytes))
-                )
-            )
-        if responder is None:
-            txn = I2CTransaction(address, direction, b"", Status.NACK)
-            self.i2c_log.append((self.clock, txn))
-            return txn
-        if direction == Direction.READ:
-            n = int(n_or_bytes)
-            payload = bytes(responder.serial_read(n, self.clock))
-            if len(payload) != n:
+        payload, status, bits = b"", Status.NACK, 0
+        if direction == Direction.WRITE:
+            bits = 8 * len(n_or_bytes)
+        elif responder is not None:
+            payload = bytes(responder.serial_read(n_or_bytes, self.clock))
+            if len(payload) != n_or_bytes:
                 raise BusError(
                     f"responder at 0x{address:02x} returned {len(payload)} "
-                    f"bytes, expected {n}"
+                    f"bytes, expected {n_or_bytes}"
                 )
-            if n > 0:
-                self.exposure_log.append(
-                    ExposureRecord(self.clock, "SERIAL", f"0x{address:02x}", 8 * n)
-                )
-        else:
-            payload = bytes(n_or_bytes)
-            responder.serial_write(payload, self.clock)
-        txn = I2CTransaction(address, direction, payload, Status.ACK)
-        self.i2c_log.append((self.clock, txn))
+            status, bits = Status.ACK, 8 * n_or_bytes
+        if bits:
+            self.exposure_log.append(
+                ExposureRecord(self.clock, "SERIAL", f"0x{address:02x}", bits)
+            )
+        txn = I2CTransaction(self.clock, address, direction, status, payload)
+        self.i2c_log.append(txn)
         return txn
 
     def record_pin_exposure(self, at: int, line_id: str) -> None:
@@ -321,21 +316,21 @@ class Bus:
         """CSV of TRACE_COLUMNS, sorted by (time, line)."""
         rows = [(t, lid, int(lvl)) for lid, trace in self.traces().items()
                 for t, lvl in trace.transitions]
-        rows.sort(key=lambda r: (r[0], r[1]))
+        rows.sort()
         return _csv(TRACE_COLUMNS, [f"{t},{lid},{lvl}" for t, lid, lvl in rows])
 
     def exposure_csv(self) -> str:
-        """CSV of EXPOSURE_COLUMNS, sorted by (time, channel, detail)."""
-        records = sorted(self.exposure_log, key=lambda r: (r.at, r.channel, r.detail))
-        return _csv(EXPOSURE_COLUMNS,
-                    (f"{r.at},{r.channel},{r.detail},{r.bits}" for r in records))
+        """CSV of EXPOSURE_COLUMNS, sorted by row: time, channel, detail, bits."""
+        return _csv(EXPOSURE_COLUMNS, (
+            f"{t},{channel},{detail},{bits}"
+            for t, channel, detail, bits in sorted(self.exposure_log)
+        ))
 
     def i2c_csv(self) -> str:
         """CSV of I2C_COLUMNS in log order."""
         return _csv(I2C_COLUMNS, (
-            f"{t},0x{txn.address:02x},{txn.direction.value},"
-            f"{txn.status.value},{txn.payload.hex()}"
-            for t, txn in self.i2c_log
+            f"{t},0x{address:02x},{direction.value},{status.value},{payload.hex()}"
+            for t, address, direction, status, payload in self.i2c_log
         ))
 
     def run_doc(self) -> dict:
@@ -349,12 +344,8 @@ class Bus:
                 for lid, trace in self.traces().items()
             },
             "i2c": [
-                {"time_ms": t, "address": txn.address, "direction": txn.direction.value,
-                 "status": txn.status.value, "payload_hex": txn.payload.hex()}
-                for t, txn in self.i2c_log
+                dict(zip(I2C_COLUMNS, (t, address, direction.value, status.value, payload.hex())))
+                for t, address, direction, status, payload in self.i2c_log
             ],
-            "exposure": [
-                {"time_ms": r.at, "channel": r.channel, "detail": r.detail, "bits": r.bits}
-                for r in self.exposure_log
-            ],
+            "exposure": [r._asdict() for r in self.exposure_log],
         }

@@ -90,6 +90,18 @@ MALFORMED = [
      "composites[0]: KeyError: 'nope'"),
     ("read_no_address", "simulate", _one_device("TAP", serial_reads=[{"at": 50}]),
      "serial_reads[0]: needs integers at"),
+    ("read_at_bool", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": True, "address": 0x29}]),
+     "serial_reads[0]: needs integers at"),
+    ("read_negative_n", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29, "n": -1}]),
+     "serial_reads[0]: needs integers at"),
+    ("duration_bool", "simulate", {"duration_ms": True, "devices": []},
+     "duration_ms must be an integer >= 1"),
+    ("composite_hold_bool", "simulate",
+     _one_device("TAP", composites=[{"combinator": "debounce", "line_id": "L",
+                                     "line": "d.TAP", "hold_ms": True}]),
+     "composites[0]: debounce: ['hold_ms'] must be integers >= 0"),
     ("devices_not_a_list", "simulate", {"duration_ms": 200, "devices": 5}, "devices"),
     ("threshold_string", "simulate", _one_device("PERSON", {"threshold": "high"}),
      "devices[0]: bad value"),

@@ -15,8 +15,6 @@ NESTED = {
     ("display", "params"): DisplayParams,
     ("display", "layout"): DisplayLayout,
 }
-# fixed to the text reader's BCD words, so a scenario cannot set them
-FIXED = {("display", "layout"): {"max_whole_digits", "max_frac_digits"}}
 
 
 def test_every_nested_key_set_is_named():
@@ -29,8 +27,7 @@ def test_every_nested_key_set_is_named():
 def test_nested_keys_are_dataclass_fields_minus_seed(modality, key):
     cls = NESTED[modality, key]
     defaults = _MODALITIES[modality][1][key]
-    fixed = FIXED.get((modality, key), set())
-    assert set(defaults) == {f.name for f in fields(cls)} - {"seed"} - fixed
+    assert set(defaults) == {f.name for f in fields(cls)} - {"seed"}
     for f in fields(cls):
         if f.name in defaults and f.name != "person_present":
             assert defaults[f.name] == f.default, f.name
