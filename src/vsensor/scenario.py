@@ -29,7 +29,7 @@ from .stimuli.audio import synth_audio
 from .stimuli.imu import synth_imu
 from .stimuli.scene import SceneParams, render_scene
 from .stimuli.sevenseg import DisplayLayout, DisplayParams, Reading, render_display
-from .vbus import Bus, BusError, Direction
+from .vbus import I2C_ADDRESS_MAX, I2C_ADDRESS_MIN, Bus, BusError, Direction
 
 
 class ScenarioError(Exception):
@@ -190,6 +190,9 @@ def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
         raise ScenarioError(f"unknown stimulus modality {modality!r}")
     build, keys = _MODALITIES[modality]
     entry = _with_defaults(spec, {"modality": None, "at": 0, "seed": None, **keys}, modality)
+    booleans = [k for k in ("at", "count", "every_ms", "duration_ms") if type(entry.get(k)) is bool]
+    if booleans:  # JSON true/false would pass as the integers 1/0
+        raise ScenarioError(f"{modality}: {booleans} must be integers, not booleans")
     for key, default in keys.items():
         if isinstance(default, dict):
             entry[key] = _with_defaults(entry[key], default, key)
@@ -260,6 +263,9 @@ def run_scenario(doc: dict) -> ScenarioResult:
             raise ScenarioError(
                 f"serial_reads[{i}]: needs integers at in (0, {duration}], address and n"
             )
+        if not I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX:
+            raise ScenarioError(f"serial_reads[{i}]: address 0x{address:02x} outside "
+                                f"[0x{I2C_ADDRESS_MIN:02x}, 0x{I2C_ADDRESS_MAX:02x}]")
     clock = 0
     for read in sorted(reads, key=lambda r: r["at"]):
         at, address = read["at"], read["address"]

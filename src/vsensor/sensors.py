@@ -32,14 +32,7 @@ from .stimuli.audio import (
     word_signature,
 )
 from .stimuli.imu import ImuWindow, TapParams, detect_tap
-from .stimuli.scene import (
-    Detection,
-    Frame,
-    GazeParams,
-    PersonParams,
-    detect_gaze,
-    detect_person,
-)
+from .stimuli.scene import Frame, GazeParams, PersonParams, gaze_present, person_present
 from .stimuli.sevenseg import MAX_FRAC_DIGITS, MAX_WHOLE_DIGITS, Reading, decode_display
 from .vbus import HIGH, LOW, LogicLevel
 
@@ -141,7 +134,7 @@ class PersonPinPolicy:
 
 
 class _DetectorPinDevice(SensorDevice):
-    """Shared DETECT pin semantics: rise/fall frame debounce of ``_detect(frame)``."""
+    """Shared DETECT pin semantics: rise/fall frame debounce of ``_present(frame)``."""
 
     _modality = Frame
     pin_name = "DETECT"
@@ -166,7 +159,7 @@ class _DetectorPinDevice(SensorDevice):
     def _step(self, t, port) -> None:
         due = self._pop_stimuli(t)
         frame = due[-1][1] if due else None
-        positive = frame is not None and self._detect(frame).present
+        positive = frame is not None and self._present(frame)
         if positive:
             self._consecutive_pos += 1
             self._consecutive_neg = 0
@@ -190,8 +183,8 @@ class PersonDetectorDevice(_DetectorPinDevice):
         figure = {0: "person", 1: "rodent"}[figure_code]
         self._detector_params = PersonParams(threshold=threshold, figure=figure)
 
-    def _detect(self, frame: Frame) -> Detection:
-        return detect_person(frame, self._detector_params)
+    def _present(self, frame: Frame) -> bool:
+        return person_present(frame, self._detector_params)
 
 
 class GazeDetectorDevice(_DetectorPinDevice):
@@ -202,8 +195,8 @@ class GazeDetectorDevice(_DetectorPinDevice):
         (threshold,) = struct.unpack("<f", payload)
         self._detector_params = GazeParams(threshold=threshold)
 
-    def _detect(self, frame: Frame) -> Detection:
-        return detect_gaze(frame, self._detector_params)
+    def _present(self, frame: Frame) -> bool:
+        return gaze_present(frame, self._detector_params)
 
 
 def person_detector(

@@ -9,7 +9,9 @@ Gaussian and seeded.
 Detection is maximum normalized cross-correlation of the frame against
 a figure template over a coarse scale/translation grid.  NCC is
 invariant to global gain, so illuminance affects detectability only
-through the noise-to-contrast ratio.
+through the noise-to-contrast ratio.  ``person_present``/``gaze_present``
+give the same decisions without the score, skipping each scale whose
+score an upper bound keeps below the threshold.
 """
 
 from __future__ import annotations
@@ -232,15 +234,26 @@ def match_score(
     """
     if prepared is None:
         return 0.0
-    th, tw, tn, template_fft = prepared
     img = np.asarray(pixels, dtype=np.float64)
-    hh, ww = img.shape
     if img_fft is None:
         img_fft = np.fft.rfft2(img)
     if window_sums is None:
         window_sums = integral_images(img)
-    corr = np.fft.irfft2(img_fft * template_fft, s=(hh, ww))
-    num = corr[: hh - th + 1, : ww - tw + 1]
+    return _ncc_max(_numerator(img_fft, prepared, img.shape), window_sums, prepared)
+
+
+def _numerator(img_fft: np.ndarray, prepared: tuple, shape: tuple[int, int]) -> np.ndarray:
+    """The template's cross-correlation with the image at every translation
+    where it fits: the NCC numerator."""
+    th, tw, _, template_fft = prepared
+    corr = np.fft.irfft2(img_fft * template_fft, s=shape)
+    return corr[: shape[0] - th + 1, : shape[1] - tw + 1]
+
+
+def _ncc_max(num: np.ndarray, window_sums: tuple[np.ndarray, np.ndarray],
+             prepared: tuple) -> float:
+    """match_score from the numerator: each window's NCC, max, clipped."""
+    th, tw, tn, _ = prepared
     s_int, q_int = window_sums
     wsum = _window_sum(s_int, th, tw)
     wsq = _window_sum(q_int, th, tw)
@@ -249,6 +262,36 @@ def match_score(
     with np.errstate(divide="ignore", invalid="ignore"):
         ncc = np.where(denom > 1e-9, num / denom, 0.0)
     return float(np.clip(ncc.max(initial=0.0), 0.0, 1.0))
+
+
+def _cannot_reach(num: np.ndarray, exact_sums: np.ndarray, prepared: tuple,
+                  threshold: float) -> bool:
+    """True when no translation's NCC can reach ``threshold`` (in (0, 1]).
+
+    Translations go in 2x2 blocks from (i0, j0).  Every window of a block
+    holds its core, rows [i0+1, i0+th) x cols [j0+1, j0+tw), and a sum of
+    squared deviations only grows under inclusion, so each window's NCC is
+    at most the block's largest numerator over tn * sqrt(SSD of the core).
+    ``exact_sums`` stacks the integer integral images of the pixels and
+    their squares, so the core sums are exact.  The relative slack on the
+    threshold covers the rounding of sqrt and divide in _ncc_max (and of a
+    float32 threshold); the 1e-3 taken off the SSD covers the rounding of
+    its float variance.
+    """
+    th, tw, tn, _ = prepared
+    hn, wn = num.shape
+    rows = num[0::2].copy()  # row pairs' maxima; an odd last row stands alone
+    np.maximum(rows[: hn // 2], num[1::2], out=rows[: hn // 2])
+    peak = rows[:, 0::2].copy()  # then column pairs'
+    np.maximum(peak[:, : wn // 2], rows[:, 1::2], out=peak[:, : wn // 2])
+    np.maximum(peak, 0.0, out=peak)
+    bh, bw = peak.shape
+    core_rows = exact_sums[:, th : th + 2 * bh - 1 : 2] - exact_sums[:, 1 : 2 * bh : 2]
+    s, q = core_rows[:, :, tw : tw + 2 * bw - 1 : 2] - core_rows[:, :, 1 : 2 * bw : 2]
+    n = (th - 1) * (tw - 1)
+    # n * SSD(core) = n * sum(x^2) - sum(x)^2, an exact integer
+    bound = (threshold * (1 - 1e-6) * tn) ** 2 * (n * q - s * s - n * 1e-3)
+    return bool((n * peak * peak < bound).all())
 
 
 def integral_images(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +337,25 @@ def _multi_scale_score(frame: Frame, figure: str, facing: bool, head_only: bool,
     return max((match_score(img, p, img_fft, sums) for p in bank), default=0.0)
 
 
+def _multi_scale_reaches(frame: Frame, figure: str, facing: bool, head_only: bool,
+                         heights: tuple[int, ...], threshold: float) -> bool:
+    """``_multi_scale_score(...) >= threshold``, skipping the NCC chain of
+    each scale whose bound cannot reach the threshold (see _cannot_reach)."""
+    pixels = frame.pixels
+    if pixels.dtype != np.uint8 or not 0 < threshold <= 1:
+        return _multi_scale_score(frame, figure, facing, head_only, heights) >= threshold
+    img = pixels.astype(np.float64)
+    img_fft = np.fft.rfft2(img)
+    sums = integral_images(img)
+    exact_sums = np.array(sums, dtype=np.int64)  # integer-valued, as the pixels are
+    for p in _template_bank(figure, facing, head_only, tuple(heights), img.shape):
+        num = _numerator(img_fft, p, img.shape)
+        if (not _cannot_reach(num, exact_sums, p, float(threshold))
+                and _ncc_max(num, sums, p) >= threshold):
+            return True
+    return False
+
+
 def detect_person(frame: Frame, params: PersonParams | None = None) -> Detection:
     """Whole-figure template match; fires on any person, facing or not."""
     params = params or PersonParams()
@@ -301,8 +363,22 @@ def detect_person(frame: Frame, params: PersonParams | None = None) -> Detection
     return Detection(present=best >= params.threshold, score=best)
 
 
+def person_present(frame: Frame, params: PersonParams | None = None) -> bool:
+    """``detect_person(frame, params).present``, without the score."""
+    params = params or PersonParams()
+    return _multi_scale_reaches(frame, params.figure, False, False, params.scale_heights,
+                                params.threshold)
+
+
 def detect_gaze(frame: Frame, params: GazeParams | None = None) -> Detection:
     """Facing-head template match; fires only on a camera-facing person."""
     params = params or GazeParams()
     best = _multi_scale_score(frame, "person", True, True, params.scale_heights)
     return Detection(present=best >= params.threshold, score=best)
+
+
+def gaze_present(frame: Frame, params: GazeParams | None = None) -> bool:
+    """``detect_gaze(frame, params).present``, without the score."""
+    params = params or GazeParams()
+    return _multi_scale_reaches(frame, "person", True, True, params.scale_heights,
+                                params.threshold)

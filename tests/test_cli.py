@@ -96,6 +96,16 @@ MALFORMED = [
     ("read_negative_n", "simulate",
      _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29, "n": -1}]),
      "serial_reads[0]: needs integers at"),
+    ("read_address_out_of_range", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 5}]),
+     "serial_reads[0]: address 0x05 outside [0x08, 0x77]"),
+    ("stimulus_integers_bool", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "at": True, "count": True,
+                                     "every_ms": True}]),
+     "devices[0].stimuli[0]: scene: ['at', 'count', 'every_ms'] must be integers, not booleans"),
+    ("stimulus_duration_bool", "simulate",
+     _one_device("TAP", stimuli=[{"modality": "imu", "duration_ms": False}]),
+     "devices[0].stimuli[0]: imu: ['duration_ms'] must be integers, not booleans"),
     ("duration_bool", "simulate", {"duration_ms": True, "devices": []},
      "duration_ms must be an integer >= 1"),
     ("composite_hold_bool", "simulate",

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vsensor.stimuli import scene as scene_mod
 from vsensor.stimuli.scene import (
     FRAME_SIZE,
     Frame,
     GazeParams,
     PersonParams,
     SceneParams,
+    _figure_template,
+    _template_bank,
     detect_gaze,
     detect_person,
     figure_height_px,
-    _template_bank,
+    gaze_present,
     match_score,
+    person_present,
     prepare_template,
     render_scene,
 )
@@ -171,3 +177,79 @@ class TestDetectGaze:
     def test_threshold_configurable(self):
         f = scene(facing=True, seed=1)
         assert not detect_gaze(f, GazeParams(threshold=1.01)).present
+
+
+# thresholds on both sides of the bounded path's (0, 1] domain
+THRESHOLDS = [0.0, 1e-7, 0.5, np.float32(0.8), 0.95, 1.0, 1.5, -0.1, float("nan")]
+
+
+def assert_decisions_exact(frame, threshold, figure="person"):
+    """The bounded decisions equal the exact scores' comparisons."""
+    person = PersonParams(threshold=threshold, figure=figure)
+    gaze = GazeParams(threshold=threshold)
+    assert person_present(frame, person) == (detect_person(frame, person).score >= threshold)
+    assert gaze_present(frame, gaze) == (detect_gaze(frame, gaze).score >= threshold)
+
+
+@pytest.fixture
+def rejections(monkeypatch):
+    """Counts of scales the bound rejected and scales it let through."""
+    counts = {True: 0, False: 0}
+    bound = scene_mod._cannot_reach
+
+    def counted(*args):
+        rejected = bound(*args)
+        counts[rejected] += 1
+        return rejected
+
+    monkeypatch.setattr(scene_mod, "_cannot_reach", counted)
+    return counts
+
+
+class TestPresentDecision:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(present=st.booleans(), facing=st.booleans(), d=st.floats(0.25, 10.0),
+           lux=st.floats(1.0, 2000.0), sigma=st.floats(0.0, 16.0),
+           seed=st.integers(0, 2**32 - 1), figure=st.sampled_from(["person", "rodent"]),
+           detector_figure=st.sampled_from(["person", "rodent"]),
+           threshold=st.floats(0.3, 1.0))
+    def test_matches_exact_scores(self, present, facing, d, lux, sigma, seed, figure,
+                                  detector_figure, threshold):
+        frame = scene(present or facing, facing, d, lux, sigma, seed, figure)
+        assert_decisions_exact(frame, threshold, detector_figure)
+
+    def test_boundary_grid(self, rejections):
+        # sigma 8 puts PERSON at 3-7 m and GAZE at 1.5-3 m near the 0.8
+        # threshold; 40 seeds a cell reach frames whose best window is not
+        # the first of its 2x2 block, where a bound on one window would fail
+        person = [scene(True, False, d, lux, 8.0, seed)
+                  for d in (3.0, 5.0, 7.0) for lux in (5.0, 50.0) for seed in range(40)]
+        gaze = [scene(True, True, d, lux, 8.0, seed)
+                for d in (1.5, 2.0, 2.5, 3.0) for lux in (5.0, 50.0) for seed in range(40)]
+        scores = [detect_person(f).score for f in person] + [detect_gaze(f).score for f in gaze]
+        decided = [person_present(f) for f in person] + [gaze_present(f) for f in gaze]
+        assert decided == [x >= 0.8 for x in scores]
+        assert min(abs(x - 0.8) for x in scores) < 0.01  # the grid reaches the boundary
+        assert 0 < sum(decided) < len(decided)
+        assert rejections[True] and rejections[False]
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS, ids=str)
+    def test_frame_shapes_and_thresholds(self, threshold):
+        wide = np.concatenate([scene(seed=8, d=2.0).pixels[16:80, 16:80],
+                               scene(facing=True, seed=9).pixels[16:80, 16:80]], axis=1)
+        small = scene(seed=10, d=7.0, sigma=0.0).pixels[36:56, 38:58]
+        frames = [scene(seed=11), scene(present=False, seed=12), Frame(wide), Frame(small),
+                  Frame(scene(seed=13).pixels.astype(np.float64) * 0.5)]
+        assert [f.pixels.shape for f in frames[2:4]] == [(64, 128), (20, 20)]
+        for f in frames:
+            assert_decisions_exact(f, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.999999, 1.0])
+    def test_exact_template_copy(self, threshold):
+        # a frame holding a bank template scores 1 up to rounding
+        template = _figure_template("person", 25, False, False).astype(np.uint8)
+        pixels = np.full((FRAME_SIZE, FRAME_SIZE), 30, dtype=np.uint8)
+        th, tw = template.shape
+        pixels[20 : 20 + th, 41 : 41 + tw] = template
+        assert detect_person(Frame(pixels)).score > 0.999
+        assert_decisions_exact(Frame(pixels), threshold)
