@@ -9,32 +9,9 @@ gated-event window boundary is inclusive, and the latch reset wins ties.
 
 from __future__ import annotations
 
-from .vbus import HIGH, LOW, PinTrace, high_spans
+from .vbus import HIGH, LOW, PinTrace, high_spans, trace_from_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
-
-
-def _trace_from_intervals(
-    line_id: str, intervals: list[tuple[int, int | None]]
-) -> PinTrace:
-    """Well-formed trace that is HIGH exactly on the given [s, e) spans.
-
-    Intervals must be sorted; overlapping/adjacent spans are merged.
-    ``e`` of None means HIGH to the end of time.
-    """
-    merged: list[list[int | None]] = []
-    for s, e in intervals:
-        if merged and (merged[-1][1] is None or s <= merged[-1][1]):
-            if merged[-1][1] is not None:
-                merged[-1][1] = e if e is None else max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    trace = PinTrace(line_id)
-    for s, e in merged:
-        trace.append(s, HIGH)
-        if e is not None:
-            trace.append(e, LOW)
-    return trace
 
 
 def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
@@ -55,9 +32,9 @@ def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
         a = max(0, t - window_ms)
         while j < len(spans) and spans[j][1] is not None and spans[j][1] <= a:
             j += 1
-        if j < len(spans) and spans[j][0] <= t:
+        if j < len(spans) and (spans[j][0] is None or spans[j][0] <= t):
             pulses.append((t, t + 1))
-    return _trace_from_intervals(f"gated({event.line_id})", pulses)
+    return trace_from_spans(f"gated({event.line_id})", pulses)
 
 
 def invert(line: PinTrace) -> PinTrace:
@@ -88,16 +65,9 @@ def pulse_stretch(line: PinTrace, ms: int) -> PinTrace:
     """Each rising edge holds the output HIGH for at least ms."""
     if ms < 0:
         raise ValueError("ms must be >= 0")
-    rising = set(line.rising_edges())
-    spans = [
-        (s, None if e is None else (max(e, s + ms) if s in rising else e))
-        for s, e in high_spans(line)
-    ]
-    out = _trace_from_intervals(f"stretch({line.line_id})", spans)
-    out.initial_level = line.initial_level
-    if line.initial_level == HIGH and out.transitions and out.transitions[0] == (0, HIGH):
-        out.transitions.pop(0)
-    return out
+    # a span that the initial level opens has no rising edge to stretch
+    spans = [(s, e if s is None or e is None else max(e, s + ms)) for s, e in high_spans(line)]
+    return trace_from_spans(f"stretch({line.line_id})", spans)
 
 
 def sr_latch(set_line: PinTrace, reset_line: PinTrace) -> PinTrace:

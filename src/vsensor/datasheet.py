@@ -383,10 +383,10 @@ def attach_performance(ds: Datasheet, report_doc: dict) -> Datasheet:
     return Datasheet(doc)
 
 
-def datasheet_for_device(device: SensorDevice, overrides: dict | None = None) -> dict:
+def datasheet_for_device(device: SensorDevice) -> dict:
     """A minimal truthful document for a device; fixture/test scaffolding."""
     kind = device.kind.name
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "overview": {
             "description": f"{kind.replace('_', ' ').title()} ML sensor",
@@ -436,6 +436,3 @@ def datasheet_for_device(device: SensorDevice, overrides: dict | None = None) ->
         },
         "comm_spec_pinout": _interface_doc(device.interface, device.timing()),
     }
-    if overrides:
-        doc.update(overrides)
-    return doc

@@ -193,6 +193,12 @@ def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
     booleans = [k for k in ("at", "count", "every_ms", "duration_ms") if type(entry.get(k)) is bool]
     if booleans:  # JSON true/false would pass as the integers 1/0
         raise ScenarioError(f"{modality}: {booleans} must be integers, not booleans")
+    if "seed" in spec and type(spec["seed"]) is not int:
+        raise ScenarioError(f"{modality}: seed must be an integer, not {spec['seed']!r}")
+    short = [f"{k} >= {low}" for k, low in (("at", 0), ("count", 1), ("every_ms", 1))
+             if k in entry and not (type(entry[k]) is int and entry[k] >= low)]
+    if short:
+        raise ScenarioError(f"{modality}: needs integers {', '.join(short)}")
     for key, default in keys.items():
         if isinstance(default, dict):
             entry[key] = _with_defaults(entry[key], default, key)
@@ -237,6 +243,8 @@ def run_scenario(doc: dict) -> ScenarioResult:
     if type(duration) is not int or duration < 1:  # rejects JSON booleans
         raise ScenarioError("duration_ms must be an integer >= 1")
     seed = doc.get("seed", 0)
+    if type(seed) is not int:  # rejects JSON booleans
+        raise ScenarioError(f"seed must be an integer, not {seed!r}")
     bus = Bus()
     result = ScenarioResult(bus, {}, {})
     for i, spec in enumerate(_entries(doc, "devices")):

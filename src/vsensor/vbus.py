@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import itemgetter
@@ -130,35 +131,50 @@ class PinTrace:
         return [t for t, lvl in self.transitions if lvl == HIGH]
 
 
-def high_spans(trace: PinTrace) -> list[tuple[int, int | None]]:
-    """Half-open [s, e) HIGH spans; e is None for a span still open at the end."""
-    spans: list[tuple[int, int | None]] = []
-    start: int | None = 0 if trace.initial_level == HIGH else None
-    for t, lvl in trace.transitions:
-        if lvl == HIGH and start is None:
-            start = t
-        elif lvl == LOW and start is not None:
-            spans.append((start, t))
-            start = None
-    if start is not None:
-        spans.append((start, None))
-    return spans
+def high_spans(trace: PinTrace) -> list[tuple[int | None, int | None]]:
+    """Half-open [s, e) HIGH spans, the package's one HIGH-span format.
+
+    ``s`` is None for the span a HIGH initial level opens, ``e`` None for a
+    span still open at the end.  Levels alternate, so a HIGH opens a span
+    and a LOW closes it.  ``trace_from_spans`` is the inverse.
+    """
+    bounds: list[int | None] = [t for t, _ in trace.transitions]
+    if trace.initial_level == HIGH:
+        bounds.insert(0, None)
+    if len(bounds) % 2:
+        bounds.append(None)
+    return list(zip(bounds[::2], bounds[1::2]))
+
+
+def trace_from_spans(line_id: str, spans: list[tuple[int | None, int | None]]) -> PinTrace:
+    """The trace that is HIGH exactly on ``spans``, the inverse of ``high_spans``.
+
+    ``spans`` are in ``high_spans`` format, sorted by start; overlapping and
+    adjacent spans merge.
+    """
+    bounds: list[int | None] = []  # s0, e0, s1, e1, ... of the merged spans
+    for s, e in spans:
+        if bounds and (bounds[-1] is None or s <= bounds[-1]):
+            if bounds[-1] is not None:
+                bounds[-1] = e if e is None else max(bounds[-1], e)
+        else:
+            bounds += (s, e)
+    initial = HIGH if bounds and bounds[0] is None else LOW
+    levels = itertools.cycle((LOW, HIGH) if initial == HIGH else (HIGH, LOW))
+    times = [t for t in bounds if t is not None]
+    return PinTrace(line_id, initial, list(zip(times, levels)))
 
 
 def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInterval]:
-    """Half-open [t0, t1) intervals during which the trace is HIGH.
-
-    An unterminated HIGH at the end of the run yields an interval closed
-    at ``run_end`` and flagged open-ended.  ``run_end`` defaults to the
-    last transition time.
-    """
-    spans = high_spans(trace)
-    out = [HighInterval(s, e) for s, e in spans if e is not None]
-    if spans and spans[-1][1] is None:
-        start = spans[-1][0]
-        end = run_end if run_end is not None else trace.last_time()
-        if end >= start:
-            out.append(HighInterval(start, end, open_ended=True))
+    """``high_spans`` as intervals.  An initial HIGH starts at 0; a span still
+    open at the end closes at ``run_end`` (default: the last transition time)
+    and is flagged open-ended."""
+    end = trace.last_time() if run_end is None else run_end
+    out = []
+    for s, e in high_spans(trace):
+        s = 0 if s is None else s
+        if e is not None or end >= s:
+            out.append(HighInterval(s, e) if e is not None else HighInterval(s, end, True))
     return out
 
 
@@ -217,16 +233,11 @@ class Bus:
 
     # -- time ------------------------------------------------------------
 
-    def advance(self, dt: int) -> list[tuple[int, str, LogicLevel]]:
-        """Advance the clock by dt ms, stepping every attached device.
-
-        Returns the line transitions that occurred in (old clock, new
-        clock], time-ordered.
-        """
+    def advance(self, dt: int) -> None:
+        """Advance the clock by dt ms, stepping every attached device."""
         if dt < 1:
             raise BusError("dt must be >= 1")
-        start = self.clock
-        end = start + dt
+        end = self.clock + dt
         due = self._due
         while due and due[0][0] <= end:
             t, i = due[0]
@@ -237,14 +248,6 @@ class Bus:
             # after t.  A stepper that raises stays due at t.
             heapq.heapreplace(due, (t + cadence, i))
         self.clock = end
-        out: list[tuple[int, str, LogicLevel]] = []
-        for line_id, trace in self.lines.items():
-            tr = trace.transitions
-            lo = bisect.bisect_right(tr, start, key=_time_of)
-            hi = bisect.bisect_right(tr, end, lo, key=_time_of)
-            out += [(t, line_id, lvl) for t, lvl in tr[lo:hi]]
-        out.sort(key=lambda x: (x[0], x[1]))
-        return out
 
     # -- serial ----------------------------------------------------------
 

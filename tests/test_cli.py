@@ -5,6 +5,7 @@ import pytest
 
 from vsensor.cli import main
 from vsensor.datasheet import canonical_json
+from vsensor.scenario import ScenarioError, run_scenario
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,6 +107,37 @@ MALFORMED = [
     ("stimulus_duration_bool", "simulate",
      _one_device("TAP", stimuli=[{"modality": "imu", "duration_ms": False}]),
      "devices[0].stimuli[0]: imu: ['duration_ms'] must be integers, not booleans"),
+    ("stimulus_count_negative", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "count": -3}]),
+     "devices[0].stimuli[0]: scene: needs integers count >= 1"),
+    ("stimulus_at_negative", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "at": -50}]),
+     "devices[0].stimuli[0]: scene: needs integers at >= 0"),
+    ("stimulus_every_ms_negative", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "count": 2, "every_ms": -100}]),
+     "devices[0].stimuli[0]: scene: needs integers every_ms >= 1"),
+    ("stimulus_at_fractional", "simulate",
+     _one_device("TAP", stimuli=[{"modality": "imu", "at": 2.5}]),
+     "devices[0].stimuli[0]: imu: needs integers at >= 0"),
+    ("stimulus_seed_bool", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "seed": True}]),
+     "devices[0].stimuli[0]: scene: seed must be an integer, not True"),
+    ("stimulus_seed_string", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "seed": "7"}]),
+     "devices[0].stimuli[0]: scene: seed must be an integer, not '7'"),
+    ("stimulus_unknown_modality", "simulate",
+     _one_device("TAP", stimuli=[{"modality": "smell"}]),
+     "devices[0].stimuli[0]: unknown stimulus modality 'smell'"),
+    ("config_not_object", "simulate", _one_device("TAP", 5),
+     "devices[0]: config must be an object"),
+    ("device_id_duplicate", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP"}, {"id": "d", "kind": "TAP"}]},
+     "devices[1]: missing or duplicate device id 'd'"),
+    ("composite_unknown_combinator", "simulate",
+     _one_device("TAP", composites=[{"combinator": "xor", "line_id": "L"}]),
+     "composites[0]: unknown combinator 'xor'"),
+    ("scenario_seed_string", "simulate", {"duration_ms": 200, "seed": "abc", "devices": []},
+     "error: seed must be an integer, not 'abc'"),
     ("duration_bool", "simulate", {"duration_ms": True, "devices": []},
      "duration_ms must be an integer >= 1"),
     ("composite_hold_bool", "simulate",
@@ -222,6 +254,12 @@ def test_malformed_input_exit_2(command, doc, expected, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err
+
+
+def test_run_scenario_rejects_a_non_object():
+    # the CLI rejects a non-object document before run_scenario sees it
+    with pytest.raises(ScenarioError, match="a scenario must be an object"):
+        run_scenario([1])
 
 
 class TestDatasheetCommands:

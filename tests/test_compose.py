@@ -57,6 +57,10 @@ class TestGatedEvent:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             gated_event(PinTrace("e"), PinTrace("g"), -1)
+        with pytest.raises(ValueError, match="hold_ms must be >= 0"):
+            debounce(PinTrace("x"), -1)
+        with pytest.raises(ValueError, match="ms must be >= 0"):
+            pulse_stretch(PinTrace("x"), -1)
 
 
 class TestDebounce:
@@ -78,6 +82,12 @@ class TestPulseStretch:
     def test_long_pulse_unchanged(self):
         tr = trace([(100, HIGH), (900, LOW)])
         assert pulse_stretch(tr, 300).transitions == tr.transitions
+
+    def test_initial_high_is_kept_and_a_rise_at_zero_is_stretched(self):
+        out = pulse_stretch(trace([(10, LOW)], initial=HIGH), 300)
+        assert (out.initial_level, out.transitions) == (HIGH, [(10, LOW)])
+        out = pulse_stretch(trace([(0, HIGH), (10, LOW)]), 300)
+        assert (out.initial_level, out.transitions) == (LOW, [(0, HIGH), (300, LOW)])
 
 
 class TestSrLatch:
@@ -137,6 +147,15 @@ class TestBruteForceOracles:
         for _ in range(200):
             s, r = rand_trace(rng, "s"), rand_trace(rng, "r")
             assert dense(sr_latch(s, r), self.DUR) == self.oracle_latch(s, r)
+
+    def test_pulse_stretch_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            line, ms = rand_trace(rng, "l"), int(rng.integers(0, 400))
+            want = dense(line, self.DUR)
+            for r in line.rising_edges():
+                want[r:r + ms] = [1] * len(want[r:r + ms])
+            assert dense(pulse_stretch(line, ms), self.DUR) == want
 
     def test_purity(self):
         rng = np.random.default_rng(9)

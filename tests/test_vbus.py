@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsensor.devkit import parse_exposure_csv, power_on
@@ -23,6 +23,8 @@ from vsensor.vbus import (
     PinTrace,
     Status,
     high_intervals,
+    high_spans,
+    trace_from_spans,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -93,10 +95,69 @@ class TestHighIntervals:
         assert [(i.start, i.end) for i in high_intervals(tr)] == [(0, 7)]
 
 
+@st.composite
+def _traces(draw):
+    """A well-formed trace: either initial level, edges at distinct ms from 0."""
+    trace = PinTrace("x", draw(st.sampled_from([LOW, HIGH])))
+    for t in sorted(draw(st.sets(st.integers(0, 60), max_size=12))):
+        trace.append(t, LOW if trace.current_level() == HIGH else HIGH)
+    return trace
+
+
+class TestHighSpans:
+    def test_format(self):
+        tr = PinTrace("x", HIGH, [(3, LOW), (5, HIGH), (9, LOW), (12, HIGH)])
+        assert high_spans(tr) == [(None, 3), (5, 9), (12, None)]
+        assert high_spans(PinTrace("x", LOW, [(0, HIGH), (4, LOW)])) == [(0, 4)]
+        assert high_spans(PinTrace("x")) == []
+        assert high_spans(PinTrace("x", HIGH)) == [(None, None)]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_traces())
+    @example(PinTrace("x"))
+    @example(PinTrace("x", HIGH))
+    @example(PinTrace("x", LOW, [(0, HIGH)]))
+    @example(PinTrace("x", HIGH, [(0, LOW)]))
+    def test_trace_from_spans_inverts_high_spans(self, trace):
+        back = trace_from_spans("y", high_spans(trace))
+        assert back.line_id == "y"
+        assert back.initial_level == trace.initial_level
+        assert back.transitions == trace.transitions
+
+    def test_overlapping_and_adjacent_spans_merge(self):
+        spans = [(None, 2), (2, 4), (6, 9), (7, 8), (9, 11), (13, None), (15, 20)]
+        tr = trace_from_spans("x", spans)
+        assert tr.initial_level == HIGH
+        assert tr.transitions == [(4, LOW), (6, HIGH), (11, LOW), (13, HIGH)]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(1, 15)), max_size=8),
+        st.none() | st.integers(0, 30),
+        st.booleans(),
+    )
+    def test_trace_from_spans_is_the_union(self, pieces, head_end, open_end):
+        spans = sorted((s, s + n) for s, n in pieces)
+        if head_end is not None:
+            spans.insert(0, (None, head_end))
+        if open_end and spans:
+            spans[-1] = (spans[-1][0], None)
+        trace = trace_from_spans("x", spans)
+        for t in range(-1, 80):
+            high = any((s is None or s <= t) and (e is None or t < e) for s, e in spans)
+            assert trace.level_at(t) == (HIGH if high else LOW), t
+        levels = [trace.initial_level] + [lvl for _, lvl in trace.transitions]
+        assert all(a != b for a, b in zip(levels, levels[1:]))
+        assert all(a < b for (a, _), (b, _) in zip(trace.transitions, trace.transitions[1:]))
+        # merged: no two output spans overlap or touch
+        out = high_spans(trace)
+        assert all(e < s for (_, e), (s, _) in zip(out, out[1:]))
+
+
 class TestBus:
     def test_advance_empty_bus(self):
         bus = Bus()
-        assert bus.advance(100) == []
+        bus.advance(100)
         assert bus.clock == 100
 
     def test_advance_zero_rejected(self):
@@ -129,16 +190,9 @@ class TestBus:
         bus.advance(5)
         assert calls == [10, 20, 30, 40]
 
-    def test_advance_returns_transitions_in_window(self):
-        bus = Bus()
-        bus.add_line("a")
-
-        def step(t):
-            bus.drive("a", HIGH if (t // 10) % 2 else LOW, t)
-
-        bus.attach_stepper(10, step)
-        out = bus.advance(25)
-        assert out == [(10, "a", HIGH), (20, "a", LOW)]
+    def test_cadence_below_one_rejected(self):
+        with pytest.raises(BusError, match="cadence must be >= 1 ms"):
+            Bus().attach_stepper(0, lambda t: None)
 
     def test_i2c_nack_on_free_address(self):
         bus = Bus()
@@ -225,6 +279,8 @@ class TestBus:
         assert "derived" in bus.trace_csv()
         with pytest.raises(BusError, match="duplicate"):
             bus.add_virtual_line("src", compute)
+        with pytest.raises(BusError, match="unknown virtual line 'nope'"):
+            bus.trace("nope")
 
 
 # A stepper: (cadence_ms, lead_ms, pattern).  At its k-th call, time t, it
@@ -263,9 +319,10 @@ def _simulate(steppers, splits):
     for i, (cadence, lead, pattern) in enumerate(steppers):
         bus.add_line(f"l{i}")
         bus.attach_stepper(cadence, make(i, lead, pattern))
-    returned = [bus.advance(dt) for dt in splits]
+    for dt in splits:
+        bus.advance(dt)
     traces = {lid: list(tr.transitions) for lid, tr in bus.lines.items()}
-    return traces, calls, returned, bus.clock
+    return traces, calls, bus.clock
 
 
 class TestAdvanceProperties:
@@ -273,12 +330,11 @@ class TestAdvanceProperties:
     @given(_runs())
     def test_split_independence(self, run):
         steppers, total, splits = run
-        traces, calls, returned, clock = _simulate(steppers, splits)
-        whole_traces, whole_calls, [whole_returned], _ = _simulate(steppers, [total])
+        traces, calls, clock = _simulate(steppers, splits)
+        whole_traces, whole_calls, _ = _simulate(steppers, [total])
         assert clock == total
         assert traces == whole_traces
         assert calls == whole_calls
-        assert sum(returned, []) == whole_returned
         # steppers run in time order, ties in attach order
         expected_calls = sorted(
             (k * cadence, i)
@@ -286,17 +342,6 @@ class TestAdvanceProperties:
             for k in range(1, total // cadence + 1)
         )
         assert calls == expected_calls
-        # each call returns exactly the final traces' edges in its window
-        start = 0
-        for dt, got in zip(splits, returned):
-            brute = sorted(
-                (t, lid, lvl)
-                for lid, trs in traces.items()
-                for t, lvl in trs
-                if start < t <= start + dt
-            )
-            assert got == brute
-            start += dt
 
     def test_same_ms_steppers_run_in_attach_order(self):
         bus = Bus()
@@ -311,17 +356,6 @@ class TestAdvanceProperties:
             ("fast", 15),
             ("slow", 20), ("fast", 20), ("late", 20),
         ]
-
-    def test_future_edge_returned_in_its_window(self):
-        bus = Bus()
-        bus.add_line("tap")
-        bus.attach_stepper(
-            10, lambda t: t == 10 and bus.drive("tap", HIGH, 900)
-        )
-        assert bus.advance(10) == []
-        assert bus.advance(880) == []
-        assert bus.advance(10) == [(900, "tap", HIGH)]
-        assert bus.advance(100) == []
 
 
 def test_run_doc_records_match_csv_columns():
