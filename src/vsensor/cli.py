@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import conformance as conf_mod
 from . import datasheet as ds_mod
-from .devkit import DeviceError, audit, parse_exposure_csv
+from .devkit import DeviceError, audit, exposure_channels, parse_exposure_csv
 from .scenario import ScenarioError, run_scenario
 from .vbus import BusError, high_intervals
 
@@ -111,12 +111,12 @@ def _cmd_datasheet(args) -> int:
     device_id = args.device or next(iter(result.devices))
     if device_id not in result.devices:
         raise _CliError(f"no device {device_id!r} in scenario")
-    findings = ds_mod.cross_check(
-        parsed,
-        result.devices[device_id],
-        result.bus.exposure_log,
-        result.wiring[device_id],
-    )
+    device, wiring = result.devices[device_id], result.wiring[device_id]
+    # a device drives only its wired lines and answers only at its address,
+    # so the other devices' records are the ones outside its channels
+    log = result.bus.exposure_log
+    own = [r for r, c in zip(log, exposure_channels(log, device.interface, wiring)) if c]
+    findings = ds_mod.cross_check(parsed, device, own, wiring)
     for f in findings:
         print(f"{f.code}: {f.message}")
     if not args.quiet and not findings:

@@ -12,7 +12,6 @@ rather than an empty room.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
@@ -22,6 +21,7 @@ import numpy as np
 from .datasheet import canonical_json
 from .devkit import DeviceError, DeviceKind, power_on
 from .sensors import gaze_detector, person_detector
+from .stimuli import derive_seed
 from .stimuli.scene import SceneParams, render_scene
 from .vbus import Bus
 
@@ -139,14 +139,6 @@ class ConformanceReport:
             doc.get("tool_version", TOOL_VERSION),
             OperatingEnvelope(**env) if env else None,
         )
-
-
-def trial_seed(protocol_seed: int, cell_index: int, trial_index: int) -> int:
-    """Index-derived per-trial seed; execution order cannot matter."""
-    digest = hashlib.sha256(
-        f"{protocol_seed}:{cell_index}:{trial_index}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def _run_trial(
@@ -269,7 +261,7 @@ def run(
             distance_m,
             lux,
             ti < n_pos,
-            trial_seed(protocol.seed, ci, ti),
+            derive_seed(protocol.seed, ci, ti),
         )
 
     outcomes = dict(zip(execution_order, _map_trials(trial, execution_order)))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .devkit import InterfaceDecl, PinRole, SensorDevice, SerialDecl, _line_matches_pin, audit
+from .devkit import (Finding, InterfaceDecl, PinRole, SensorDevice, SerialDecl, audit,
+                     declared_channels, exposure_channels)
 from .vbus import ExposureRecord
 
 SCHEMA_VERSION = 1
@@ -82,14 +83,6 @@ class ParseError:
 class Violation:
     section: str
     code: str  # MISSING_SECTION, MISSING_FIELD, INCONSISTENT, FORBIDDEN_VALUE
-    message: str
-
-
-@dataclass
-class Finding:
-    """A cross-check discrepancy between datasheet and live device."""
-
-    code: str
     message: str
 
 
@@ -309,53 +302,35 @@ def cross_check(
     def pins(doc: dict) -> list[tuple[str, str]]:
         return [(p["name"], p["role"]) for p in doc.get("pins", [])]
 
+    kind = ds.doc["model_characteristics"]["sensor_kind"]
     for key, code, declared, actual in (
+        ("sensor_kind", "KIND_MISMATCH", kind, device.kind.name),
         ("pins", "PINOUT_MISMATCH", pins(pinout), pins(truth)),
         ("serial", "PINOUT_MISMATCH", pinout.get("serial"), truth["serial"]),
+        ("declared_outputs", "PINOUT_MISMATCH", pinout.get("declared_outputs"),
+         truth["declared_outputs"]),
         ("timing", "TIMING_MISMATCH", pinout.get("timing", {}), truth["timing"]),
     ):
         if declared != actual:
             findings.append(
                 Finding(code, f"datasheet {key} {declared} != device {key} {actual}")
             )
-    verdict = audit(run_log, interface, wiring)
-    findings.extend(Finding(f.code, f.message) for f in verdict.findings)
-    findings.extend(_exposure_findings(ds, device, run_log, wiring))
+    findings.extend(audit(run_log, interface, wiring).findings)
+    findings.extend(_exposure_findings(ds, interface, run_log, wiring))
     return findings
 
 
-def _exposure_findings(
-    ds: Datasheet,
-    device: SensorDevice,
-    run_log: list[ExposureRecord],
-    wiring: dict[str, str] | None,
-) -> list[Finding]:
-    """Observed channels absent from the privacy label's data_exposed list."""
+def _exposure_findings(ds: Datasheet, interface: InterfaceDecl, run_log: list[ExposureRecord],
+                       wiring: dict[str, str] | None) -> list[Finding]:
+    """Observed channels absent from the privacy label's data_exposed list; a
+    record outside every declared channel is observed as ``<channel>:<detail>``."""
     declared = set(ds.doc["privacy_security_label"].get("data_exposed", []))
-    line_to_pin = {}
-    if wiring:
-        line_to_pin = {lid: pin for pin, lid in wiring.items()}
     observed: dict[str, int] = {}
-    for rec in run_log:
-        if rec.channel == "PIN":
-            pin = line_to_pin.get(rec.detail)
-            if pin is None:
-                pins = device.interface.signal_pins()
-                matches = (p for p in pins if _line_matches_pin(rec.detail, p))
-                pin = next(matches, rec.detail)
-            token = f"PIN:{pin}"
-        else:
-            token = f"{rec.channel}:{rec.detail}"
-        observed.setdefault(token, rec.time_ms)
-    return [
-        Finding(
-            "UNDECLARED_EXPOSURE",
-            f"observed {token} (first at t={at}) missing from "
-            "privacy_security_label.data_exposed",
-        )
-        for token, at in sorted(observed.items())
-        if token not in declared
-    ]
+    for rec, channel in zip(run_log, exposure_channels(run_log, interface, wiring)):
+        observed.setdefault(channel or f"{rec.channel}:{rec.detail}", rec.time_ms)
+    return [Finding("UNDECLARED_EXPOSURE", f"observed {token} (first at t={at}) missing from "
+                    "privacy_security_label.data_exposed")
+            for token, at in sorted(observed.items()) if token not in declared]
 
 
 def attach_performance(ds: Datasheet, report_doc: dict) -> Datasheet:
@@ -413,12 +388,7 @@ def datasheet_for_device(device: SensorDevice) -> dict:
         },
         "privacy_security_label": {
             "data_collected": ["none retained"],
-            "data_exposed": [f"PIN:{p}" for p in device.interface.signal_pins()]
-            + (
-                [f"SERIAL:0x{device.interface.serial.address:02x}"]
-                if device.interface.serial
-                else []
-            ),
+            "data_exposed": declared_channels(device.interface),
             "update_policy": "parameters immutable after power-on",
             "network_capability": "none",
         },

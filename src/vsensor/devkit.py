@@ -222,74 +222,68 @@ def power_on(device: SensorDevice, bus: Bus, wiring: dict[str, str]) -> SensorDe
 
 
 @dataclass
-class AuditFinding:
-    code: str  # UNDECLARED_CHANNEL or OVERSIZED_PAYLOAD
+class Finding:
+    code: str  # UNDECLARED_CHANNEL, OVERSIZED_PAYLOAD, or a datasheet cross-check code
     message: str
 
 
 @dataclass
 class AuditVerdict:
     passed: bool
-    findings: list[AuditFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
 
 
-def _line_matches_pin(line_id: str, pin: str) -> bool:
-    # Scenario runners name lines "<device_id>.<PIN>"; bare pin names
-    # are accepted for single-device runs.
-    return line_id == pin or line_id.endswith("." + pin)
+def declared_channels(interface: InterfaceDecl) -> list[str]:
+    """``PIN:<pin>`` for each signal pin, then ``SERIAL:0x<aa>`` if declared."""
+    serial = interface.serial
+    return [f"PIN:{p}" for p in interface.signal_pins()] + (
+        [f"SERIAL:0x{serial.address:02x}"] if serial else [])
 
 
-def audit(
-    run_log: list[ExposureRecord],
-    interface: InterfaceDecl,
-    wiring: dict[str, str] | None = None,
-) -> AuditVerdict:
-    """Structural exposure audit: every emission must be declared.
+def exposure_channels(run_log: list[ExposureRecord], interface: InterfaceDecl,
+                      wiring: dict[str, str] | None = None) -> list[str | None]:
+    """The declared channel (an entry of ``declared_channels``) each record crossed, or None.
 
-    ``wiring`` (pin name -> line id), when given, pins down the mapping;
-    otherwise line ids are matched to declared pin names directly or via
-    the "<device>.<PIN>" convention.
+    With ``wiring`` (pin name -> line id), a PIN record crosses the signal
+    pin wired to its line; without, the pin named by the line or by its
+    "<device>.<PIN>" suffix.  A SERIAL record crosses the declared address.
     """
-    findings: list[AuditFinding] = []
-    signal_pins = interface.signal_pins()
-    line_to_pin = {}
-    if wiring:
-        line_to_pin = {lid: pin for pin, lid in wiring.items() if pin in signal_pins}
-    for rec in run_log:
-        if rec.channel == "PIN":
-            if wiring:
-                ok = rec.detail in line_to_pin
+    declared, serial = declared_channels(interface), interface.serial
+
+    def channel(kind: str, detail: str) -> str | None:
+        if kind == "PIN":
+            for pin, token in zip(interface.signal_pins(), declared):
+                if (wiring.get(pin) == detail if wiring
+                        else detail == pin or detail.endswith("." + pin)):
+                    return token
+        elif kind == "SERIAL" and serial and int(detail, 16) == serial.address:
+            return declared[-1]
+        return None
+
+    # one attribution per distinct (channel, detail), not per record
+    table = {key: channel(*key) for key in {(r.channel, r.detail) for r in run_log}}
+    return [table[r.channel, r.detail] for r in run_log]
+
+
+def audit(run_log: list[ExposureRecord], interface: InterfaceDecl,
+          wiring: dict[str, str] | None = None) -> AuditVerdict:
+    """Every record must cross a declared channel (``exposure_channels``),
+    and no serial payload may exceed the register map."""
+    findings: list[Finding] = []
+    serial = interface.serial
+    for rec, channel in zip(run_log, exposure_channels(run_log, interface, wiring)):
+        if channel is None:
+            if rec.channel == "PIN":
+                what = f"pin emission on undeclared line {rec.detail!r} at t={rec.time_ms}"
+            elif rec.channel == "SERIAL":
+                what = f"serial emission at undeclared address {rec.detail} at t={rec.time_ms}"
             else:
-                ok = any(_line_matches_pin(rec.detail, p) for p in signal_pins)
-            if not ok:
-                findings.append(
-                    AuditFinding(
-                        "UNDECLARED_CHANNEL",
-                        f"pin emission on undeclared line {rec.detail!r} at t={rec.time_ms}",
-                    )
-                )
-        elif rec.channel == "SERIAL":
-            address = int(rec.detail, 16)
-            if interface.serial is None or interface.serial.address != address:
-                findings.append(
-                    AuditFinding(
-                        "UNDECLARED_CHANNEL",
-                        f"serial emission at undeclared address {rec.detail} "
-                        f"at t={rec.time_ms}",
-                    )
-                )
-            elif rec.bits // 8 > interface.serial.register_map_len:
-                findings.append(
-                    AuditFinding(
-                        "OVERSIZED_PAYLOAD",
-                        f"{rec.bits // 8}-byte payload exceeds register map "
-                        f"length {interface.serial.register_map_len} at t={rec.time_ms}",
-                    )
-                )
-        else:
-            findings.append(
-                AuditFinding("UNDECLARED_CHANNEL", f"unknown channel {rec.channel!r}")
-            )
+                what = f"unknown channel {rec.channel!r}"
+            findings.append(Finding("UNDECLARED_CHANNEL", what))
+        elif rec.channel == "SERIAL" and rec.bits // 8 > serial.register_map_len:
+            findings.append(Finding("OVERSIZED_PAYLOAD", f"{rec.bits // 8}-byte payload exceeds "
+                                    f"register map length {serial.register_map_len} "
+                                    f"at t={rec.time_ms}"))
     return AuditVerdict(passed=not findings, findings=findings)
 
 

@@ -8,7 +8,6 @@ it plus stable indices, never from the clock or OS entropy.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import struct
 from contextlib import contextmanager
@@ -25,6 +24,7 @@ from .sensors import (
     voice_sensor_pin,
     voice_sensor_serial,
 )
+from .stimuli import derive_seed
 from .stimuli.audio import synth_audio
 from .stimuli.imu import synth_imu
 from .stimuli.scene import SceneParams, render_scene
@@ -34,11 +34,6 @@ from .vbus import I2C_ADDRESS_MAX, I2C_ADDRESS_MIN, Bus, BusError, Direction
 
 class ScenarioError(Exception):
     """Malformed scenario document."""
-
-
-def derive_seed(base: int, *parts: object) -> int:
-    tag = ":".join([str(base)] + [str(p) for p in parts])
-    return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
 
 
 @dataclass
@@ -116,17 +111,19 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 
 def _build_device(spec: dict) -> SensorDevice:
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind not in KINDS:
         raise ScenarioError(f"unknown device kind {kind!r}")
     factory = KINDS[kind]
-    config = _with_defaults(spec.get("config", {}), config_defaults(factory), "config")
+    config = _with_defaults(spec["config"], config_defaults(factory), "config")
     if "policy" in config:
         policy = _with_defaults(config["policy"], _fields(PersonPinPolicy), "config.policy")
         config["policy"] = PersonPinPolicy(**policy)
     # a params file replaces the built blob as it is, so an empty file fails BAD_CRC
-    params = spec.get("params")
-    if isinstance(params, str) and not params.startswith("builtin"):
+    params = spec["params"]
+    if params is not None:
+        if not isinstance(params, str):
+            raise ScenarioError(f"params must be a file path, not {params!r}")
         with open(params, "rb") as f:
             config["params"] = f.read()
     return factory(**config)
@@ -235,25 +232,34 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
             )
 
 
+# the keys of a scenario, of each device entry and of each serial read
+_SCENARIO_KEYS = {"seed": 0, "duration_ms": 0, "devices": [], "composites": [], "serial_reads": []}
+_DEVICE_KEYS = {"id": None, "kind": None, "config": {}, "params": None, "wiring": None,
+                "stimuli": []}
+_READ_KEYS = {"at", "address", "n"}
+
+
 def run_scenario(doc: dict) -> ScenarioResult:
     """Build and run a scenario document to completion."""
     if not isinstance(doc, dict):
         raise ScenarioError("a scenario must be an object")
-    duration = doc.get("duration_ms", 0)
+    doc = _with_defaults(doc, _SCENARIO_KEYS, "scenario")
+    duration = doc["duration_ms"]
     if type(duration) is not int or duration < 1:  # rejects JSON booleans
         raise ScenarioError("duration_ms must be an integer >= 1")
-    seed = doc.get("seed", 0)
+    seed = doc["seed"]
     if type(seed) is not int:  # rejects JSON booleans
         raise ScenarioError(f"seed must be an integer, not {seed!r}")
     bus = Bus()
     result = ScenarioResult(bus, {}, {})
     for i, spec in enumerate(_entries(doc, "devices")):
         with _located(f"devices[{i}]"):
-            device_id = spec.get("id")
+            spec = _with_defaults(spec, _DEVICE_KEYS, "device")
+            device_id = spec["id"]
             if not device_id or device_id in result.devices:
                 raise ScenarioError(f"missing or duplicate device id {device_id!r}")
             device = _build_device(spec)
-            wiring = spec.get("wiring") or _default_wiring(device_id, device)
+            wiring = spec["wiring"] or _default_wiring(device_id, device)
             power_on(device, bus, wiring)
             stimuli = _entries(spec, "stimuli")
         result.devices[device_id] = device
@@ -265,6 +271,9 @@ def run_scenario(doc: dict) -> ScenarioResult:
     _register_composites(result, _entries(doc, "composites"))
     reads = _entries(doc, "serial_reads")
     for i, read in enumerate(reads):
+        if not read.keys() <= _READ_KEYS:
+            raise ScenarioError(f"serial_reads[{i}]: unknown key(s) "
+                                f"{sorted(read.keys() - _READ_KEYS)}")
         at, address, n = read.get("at"), read.get("address"), read.get("n", 1)
         integers = all(type(v) is int for v in (at, address, n))  # rejects JSON booleans
         if not (integers and 0 < at <= duration and n >= 0):

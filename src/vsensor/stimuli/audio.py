@@ -12,10 +12,11 @@ The distractor "often" is constructed as a deliberate near-match for
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import derive_seed
 
 FEATURE_DIM = 13
 HOP_MS = 20
@@ -50,10 +51,8 @@ class KeywordEvent:
     score: float
 
 
-def _seeded_unit_vector(tag: str) -> np.ndarray:
-    digest = hashlib.sha256(tag.encode()).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    v = rng.normal(0.0, 1.0, FEATURE_DIM)
+def _word_vector(word: str) -> np.ndarray:
+    v = np.random.default_rng(derive_seed("word", word)).normal(0.0, 1.0, FEATURE_DIM)
     return v / np.linalg.norm(v)
 
 
@@ -62,11 +61,11 @@ def word_signature(word: str) -> np.ndarray:
     if word in CONFUSABLE:
         target, cos = CONFUSABLE[word]
         base = word_signature(target)
-        raw = _seeded_unit_vector("word:" + word)
+        raw = _word_vector(word)
         orth = raw - base * (raw @ base)
         orth /= np.linalg.norm(orth)
         return cos * base + np.sqrt(1.0 - cos * cos) * orth
-    return _seeded_unit_vector("word:" + word)
+    return _word_vector(word)
 
 
 def synth_audio(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ class TestSignatures:
     def test_distinct_words_nearly_orthogonal(self):
         cos = word_signature("on") @ word_signature("off")
         assert abs(cos) < 0.6
+
+    def test_signature_seeded_by_word(self):
+        # derive_seed("word", w) is the SHA-256 of "word:<w>" that every
+        # signature has been drawn from
+        for word in ("on", "off", "yes", "stop", "lumière"):
+            digest = hashlib.sha256(f"word:{word}".encode()).digest()
+            v = np.random.default_rng(int.from_bytes(digest[:8], "little")).normal(0.0, 1.0, 13)
+            assert np.array_equal(word_signature(word), v / np.linalg.norm(v))
 
     def test_confusable_often_near_off(self):
         cos = word_signature("often") @ word_signature("off")

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from vsensor.cli import main
-from vsensor.datasheet import canonical_json
+from vsensor.datasheet import canonical_json, datasheet_for_device
 from vsensor.scenario import ScenarioError, run_scenario
+from vsensor.sensors import text_reader, voice_sensor_pin
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,6 +46,13 @@ class TestSimulate:
         }))
         assert run("simulate", bad) == 2
         assert "unknown device kind" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run("simulate", FIXTURES / "person_scenario.json",
+                   "--out", tmp_path / "file" / "run", "--quiet")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
     def test_missing_file_exit_2(self):
         assert run("simulate", "/nonexistent/scenario.json") == 2
@@ -157,6 +165,20 @@ MALFORMED = [
      {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": "empty.mlsp"}]},
      "BAD_CRC"),
     ("config_key_typo", "simulate", _one_device("TAP", {"evry_ms": 100}), "'evry_ms'"),
+    ("scenario_key_typo", "simulate",
+     _one_device("TAP", composite=[{**GATED}]), "error: unknown scenario key(s) ['composite']"),
+    ("device_key_typo", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "confg": {}}]},
+     "devices[0]: unknown device key(s) ['confg']"),
+    ("params_not_a_path", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": 5}]},
+     "devices[0]: params must be a file path, not 5"),
+    ("params_builtin_is_a_path", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": "builtin"}]},
+     "No such file or directory: 'builtin'"),
+    ("read_key_typo", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29, "N": 4}]),
+     "serial_reads[0]: unknown key(s) ['N']"),
     ("policy_key_typo", "simulate", _one_device("PERSON", {"policy": {"rise": 3}}),
      "unknown config.policy key(s) ['rise']"),
     ("composite_key_typo", "simulate",
@@ -312,6 +334,24 @@ class TestDatasheetCommands:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and expected in err
 
+    @pytest.mark.parametrize("device", ["gaze", "voice"])
+    def test_crosscheck_each_device_of_a_scenario(self, device, tmp_path, capsys):
+        # each device is checked on its own records only: the other
+        # device's line is no finding of its sheet
+        sheet = FIXTURES / "gaze.mlsd.json"
+        if device == "voice":
+            sheet = tmp_path / "voice.mlsd.json"
+            sheet.write_text(canonical_json(datasheet_for_device(voice_sensor_pin())))
+        code = run("datasheet", "crosscheck", sheet, "--device", device,
+                   "--device-from", FIXTURES / "gaze_voice_scenario.json")
+        assert (code, capsys.readouterr().out) == (0, "clean\n")
+
+    def test_crosscheck_invalid_datasheet_exit_1(self, capsys):
+        code = run("datasheet", "crosscheck", FIXTURES / "missing_nutrition.mlsd.json",
+                   "--device-from", FIXTURES / "person_scenario.json")
+        assert code == 1
+        assert "INVALID_DATASHEET" in capsys.readouterr().err
+
     def test_crosscheck_requires_scenario(self, capsys):
         code = run("datasheet", "crosscheck", FIXTURES / "person.mlsd.json")
         assert code == 2
@@ -331,6 +371,24 @@ class TestAudit:
         code = run("audit", log, FIXTURES / "person.mlsd.json")
         assert code == 1
         assert "UNDECLARED_CHANNEL" in capsys.readouterr().out
+
+    def test_serial_device_datasheet(self, tmp_path, capsys):
+        run("simulate", FIXTURES / "text_reader_scenario.json", "--out", tmp_path, "--quiet")
+        log = tmp_path / "exposure.csv"
+        assert "SERIAL,0x29,64" in log.read_text()
+        sheet = tmp_path / "text_reader.mlsd.json"
+        sheet.write_text(canonical_json(datasheet_for_device(text_reader())))
+        assert run("audit", log, sheet) == 0
+        assert capsys.readouterr().out == "pass\n"
+        log.write_text(log.read_text() + "700,SERIAL,0x29,72\n")
+        assert run("audit", log, sheet) == 1
+        assert "OVERSIZED_PAYLOAD: 9-byte payload" in capsys.readouterr().out
+
+    def test_bad_header_exit_2(self, tmp_path, capsys):
+        log = tmp_path / "exposure.csv"
+        log.write_text("t,channel,detail,bits\n5,PIN,p1.DETECT,1\n")
+        assert run("audit", log, FIXTURES / "person.mlsd.json") == 2
+        assert "cannot read exposure log: bad exposure log header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("log_row,datasheet,expected", [
         ("5,SERIAL,zz,8", "person.mlsd.json", "SERIAL detail 'zz' is not a hex address"),
@@ -355,6 +413,15 @@ class TestComposeDemo:
         out = capsys.readouterr().out
         assert "LIGHT_ON high [" in out
         assert "LIGHT_ON" in (tmp_path / "trace.csv").read_text()
+
+    def test_seed(self, tmp_path, capsys):
+        assert run("compose-demo", "--seed", 7, "--out", tmp_path, "--quiet") == 0
+        assert capsys.readouterr().out == ""
+        assert run("compose-demo", "--seed", 7, "--out", tmp_path / "again") == 0
+        out = capsys.readouterr().out
+        assert out.endswith("LIGHT_ON high [994, 2199)\n")
+        again = (tmp_path / "again" / "trace.csv").read_bytes()
+        assert (tmp_path / "trace.csv").read_bytes() == again
 
 
 class TestConformanceCommand:

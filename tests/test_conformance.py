@@ -1,5 +1,8 @@
+import hashlib
 import multiprocessing
 import random
+
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +13,9 @@ from vsensor.conformance import (
     compare,
     envelope,
     run,
-    trial_seed,
 )
 from vsensor.devkit import DeviceError, DeviceKind
+from vsensor.stimuli import derive_seed
 from vsensor.sensors import person_detector, tap_sensor
 
 SMALL = TestProtocol(
@@ -61,6 +64,10 @@ class TestRun:
         cell = small_report.cell(1.0, 800)
         assert cell.tpr == 1.0 and cell.fpr == 0.0
 
+    def test_cell_outside_grid(self, small_report):
+        with pytest.raises(KeyError):
+            small_report.cell(3.0, 800)
+
     def test_reproducible(self, small_report):
         again = run(person_detector, SMALL)
         assert again.to_json() == small_report.to_json()
@@ -81,8 +88,15 @@ class TestRun:
         assert e.value.code == "FACTORY_KIND_MISMATCH"
 
     def test_trial_seeds_index_derived(self):
-        assert trial_seed(7, 0, 0) != trial_seed(7, 0, 1)
-        assert trial_seed(7, 0, 0) == trial_seed(7, 0, 0)
+        # a trial's seed is derive_seed(protocol seed, cell, trial): the first
+        # 8 bytes, little-endian, of SHA-256 of "seed:cell:trial", the
+        # derivation every golden report was made with
+        rng = random.Random(5)
+        for _ in range(750):
+            s, c, t = rng.randrange(-2**40, 2**40), rng.randrange(50), rng.randrange(500)
+            digest = hashlib.sha256(f"{s}:{c}:{t}".encode()).digest()
+            assert derive_seed(s, c, t) == int.from_bytes(digest[:8], "little")
+        assert derive_seed(7, 0, 0) != derive_seed(7, 0, 1)
 
     def test_report_doc_round_trip(self, small_report):
         doc = small_report.to_doc()
@@ -127,6 +141,12 @@ class TestCompare:
         rep = run(strict, SMALL)
         cmpres = compare(small_report, rep)
         assert all(d.fpr_delta <= 0 for d in cmpres.deltas)
+
+    def test_latency_delta_needs_both_latencies(self, small_report):
+        cells = [replace(c, mean_latency_ms=None) for c in small_report.cells]
+        no_latency = replace(small_report, cells=cells)
+        cmpres = compare(small_report, no_latency)
+        assert [d.latency_delta_ms for d in cmpres.deltas] == [None] * 4
 
     def test_shape_mismatch(self, small_report):
         other = TestProtocol(

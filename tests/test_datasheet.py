@@ -17,9 +17,9 @@ from vsensor.datasheet import (
     render,
     validate,
 )
-from vsensor.devkit import power_on
+from vsensor.devkit import declared_channels, power_on
 from vsensor.scenario import KINDS
-from vsensor.sensors import person_detector, text_reader
+from vsensor.sensors import gaze_detector, person_detector, text_reader
 from vsensor.stimuli.scene import SceneParams, render_scene
 from vsensor.vbus import Bus, ExposureRecord
 
@@ -81,6 +81,15 @@ class TestValidate:
         assert [(v.section, v.code) for v in violations] == [
             ("form_factor", "MISSING_FIELD")
         ]
+
+    @pytest.mark.parametrize("schema", [None, 2, "1"])
+    def test_schema_1_required(self, schema):
+        ds = load("person.mlsd.json")
+        del ds.doc["schema"]
+        if schema is not None:
+            ds.doc["schema"] = schema
+        assert [(v.section, v.code, v.message) for v in validate(ds)] == [
+            ("schema", "MISSING_FIELD", "schema: 1 field required")]
 
     def test_violations_sorted(self):
         ds = Datasheet({"schema": 1})
@@ -196,6 +205,60 @@ class TestCrossCheck:
         assert len(exposure) == 1
         assert "observed PIN:x.OTHER (first at t=200)" in exposure[0].message
 
+    def test_invalid_datasheet_cannot_be_cross_checked(self):
+        dev, bus, wiring = self.run_person()
+        with pytest.raises(DatasheetError) as e:
+            cross_check(load("missing_nutrition.mlsd.json"), dev, bus.exposure_log, wiring)
+        assert e.value.code == "INVALID_DATASHEET"
+
+    def test_kind_and_declared_outputs_compared(self):
+        # the PERSON sheet matches a GAZE device pin for pin and in timing;
+        # only its kind and the meaning of DETECT tell them apart
+        bus = Bus()
+        dev = gaze_detector()
+        power_on(dev, bus, {"VDD": "vdd", "GND": "gnd", "DETECT": "g.DETECT"})
+        findings = cross_check(load("person.mlsd.json"), dev, [], None)
+        assert [(f.code, f.message) for f in findings] == [
+            ("KIND_MISMATCH", "datasheet sensor_kind PERSON != device sensor_kind GAZE"),
+            ("PINOUT_MISMATCH",
+             "datasheet declared_outputs DETECT: one bit, high while a person is present "
+             "!= device declared_outputs DETECT: one bit, high while someone looks at "
+             "the device"),
+        ]
+        assert cross_check(load("gaze.mlsd.json"), dev, [], None) == []
+
+    def test_wired_run_does_not_suffix_map_other_lines(self):
+        # with wiring, only the wired line is DETECT: a record on another
+        # "<id>.DETECT" line is undeclared to the audit and to data_exposed
+        dev, bus, wiring = self.run_person()
+        log = bus.exposure_log + [ExposureRecord(700, "PIN", "x.DETECT", 1)]
+        findings = cross_check(load("person.mlsd.json"), dev, log, wiring)
+        assert [(f.code, f.message) for f in findings] == [
+            ("UNDECLARED_CHANNEL", "pin emission on undeclared line 'x.DETECT' at t=700"),
+            ("UNDECLARED_EXPOSURE", "observed PIN:x.DETECT (first at t=700) missing from "
+             "privacy_security_label.data_exposed"),
+        ]
+
+    def test_serial_records(self):
+        bus = Bus()
+        dev = text_reader()
+        power_on(dev, bus, {"VDD": "vdd", "GND": "gnd"})
+        ds = Datasheet(datasheet_for_device(dev))
+        log = [ExposureRecord(100, "SERIAL", "0x29", 64)]
+        assert cross_check(ds, dev, log, None) == []
+        log += [ExposureRecord(200, "SERIAL", "0x29", 72),
+                ExposureRecord(300, "SERIAL", "0x55", 8)]
+        assert [(f.code, f.message) for f in cross_check(ds, dev, log, None)] == [
+            ("OVERSIZED_PAYLOAD", "9-byte payload exceeds register map length 8 at t=200"),
+            ("UNDECLARED_CHANNEL", "serial emission at undeclared address 0x55 at t=300"),
+            ("UNDECLARED_EXPOSURE", "observed SERIAL:0x55 (first at t=300) missing from "
+             "privacy_security_label.data_exposed"),
+        ]
+        ds.doc["privacy_security_label"]["data_exposed"] = []
+        exposure = [f.message for f in cross_check(ds, dev, log[:1], None)]
+        assert exposure == ["observed SERIAL:0x29 (first at t=100) missing from "
+                            "privacy_security_label.data_exposed"]
+
     def test_undeclared_exposure(self):
         dev, bus, wiring = self.run_person()
         ds = load("person.mlsd.json")
@@ -233,9 +296,16 @@ class TestAttachPerformance:
         assert ds2.doc["end_to_end_performance"]["envelope"]["max_distance_m"] == 2.0
 
 
+def test_gaze_fixture_is_the_default_gaze_sheet():
+    text = canonical_json(datasheet_for_device(gaze_detector()))
+    assert (FIXTURES / "gaze.mlsd.json").read_text(encoding="utf-8") == text
+
+
 def test_datasheet_for_device_truthful_for_every_kind():
     for factory in KINDS.values():
         dev = factory()
         ds = Datasheet(datasheet_for_device(dev))
         assert validate(ds) == []
         assert cross_check(ds, dev, []) == []
+        assert ds.doc["privacy_security_label"]["data_exposed"] == declared_channels(
+            dev.interface)

@@ -8,6 +8,8 @@ from vsensor.devkit import (
     SensorDevice,
     SerialDecl,
     audit,
+    declared_channels,
+    exposure_channels,
     pack_blob,
     parse_exposure_csv,
     power_on,
@@ -189,6 +191,45 @@ class TestAudit:
         assert audit(log, self.INTERFACE, {"DETECT": "weird-line"}).passed
         assert not audit(log, self.INTERFACE, {"DETECT": "other"}).passed
 
+    @pytest.mark.parametrize("channel,detail,wiring,expected", [
+        ("PIN", "DETECT", None, "PIN:DETECT"),
+        ("PIN", "dev.DETECT", None, "PIN:DETECT"),
+        ("PIN", "DETECTOR", None, None),
+        ("PIN", "dev.DETECT", {"DETECT": "dev.DETECT"}, "PIN:DETECT"),
+        # with wiring, only the wired line counts: no suffix or bare-name match
+        ("PIN", "x.DETECT", {"DETECT": "dev.DETECT"}, None),
+        ("PIN", "DETECT", {"DETECT": "dev.DETECT"}, None),
+        # a non-signal pin's line is no exposure channel
+        ("PIN", "vdd", {"VDD": "vdd", "DETECT": "dev.DETECT"}, None),
+        ("SERIAL", "0x29", None, "SERIAL:0x29"),
+        ("SERIAL", "0x29", {"DETECT": "dev.DETECT"}, "SERIAL:0x29"),
+        ("SERIAL", "0x2a", None, None),
+        ("RADIO", "0x29", None, None),
+    ])
+    def test_exposure_channels(self, channel, detail, wiring, expected):
+        log = [ExposureRecord(5, channel, detail, 8)] * 2
+        assert exposure_channels(log, self.INTERFACE, wiring) == [expected] * 2
+
+    @pytest.mark.parametrize("pins,outputs,message", [
+        ([("A", PinRole.SIGNAL_OUT)], "", "declared_outputs must be non-empty"),
+        ([("A", PinRole.SIGNAL_OUT), ("A", PinRole.SIGNAL_OUT)], "a",
+         "SIGNAL_OUT pin names must be unique"),
+    ])
+    def test_interface_decl_checks(self, pins, outputs, message):
+        with pytest.raises(ValueError, match=message):
+            InterfaceDecl(pins, None, outputs)
+
+    def test_declared_channels(self):
+        assert declared_channels(self.INTERFACE) == ["PIN:DETECT", "SERIAL:0x29"]
+        pins_only = InterfaceDecl([("A", PinRole.SIGNAL_OUT), ("B", PinRole.SIGNAL_OUT)],
+                                  None, "two bits")
+        assert declared_channels(pins_only) == ["PIN:A", "PIN:B"]
+
+    def test_unknown_channel_finding(self):
+        verdict = audit([ExposureRecord(5, "RADIO", "0x29", 8)], self.INTERFACE)
+        assert [(f.code, f.message) for f in verdict.findings] == [
+            ("UNDECLARED_CHANNEL", "unknown channel 'RADIO'")]
+
     def test_exposure_csv_round_trip(self):
         bus = Bus()
         bus.add_line("x")
@@ -210,6 +251,11 @@ class TestAudit:
         bad = text.replace("SERIAL,0x29", f"{channel},{detail}")
         with pytest.raises(ValueError, match=message):
             parse_exposure_csv(bad)
+
+    @pytest.mark.parametrize("text", ["", "time,channel,detail,bits\n5,PIN,x,1\n"])
+    def test_exposure_csv_rejects_bad_header(self, text):
+        with pytest.raises(ValueError, match="bad exposure log header"):
+            parse_exposure_csv(text)
 
 
 def test_real_device_audit_end_to_end():
