@@ -108,9 +108,10 @@ def _cmd_datasheet(args) -> int:
         raise _CliError("crosscheck requires --device-from <scenario>")
     scenario_doc = _load_json(args.device_from)
     result = run_scenario(scenario_doc)
-    device_id = args.device or next(iter(result.devices))
+    device_id = args.device or next(iter(result.devices), None)
     if device_id not in result.devices:
-        raise _CliError(f"no device {device_id!r} in scenario")
+        raise _CliError(f"no device {device_id!r} in scenario" if device_id
+                        else "scenario has no devices")
     device, wiring = result.devices[device_id], result.wiring[device_id]
     # a device drives only its wired lines and answers only at its address,
     # so the other devices' records are the ones outside its channels

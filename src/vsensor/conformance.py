@@ -320,46 +320,3 @@ def envelope(
     if best is None:
         return None
     return OperatingEnvelope(best[0], best[1], tpr_min, fpr_max)
-
-
-@dataclass
-class CellDelta:
-    distance_m: float
-    lux: float
-    tpr_delta: float
-    fpr_delta: float
-    latency_delta_ms: float | None
-
-
-@dataclass
-class Comparison:
-    deltas: list[CellDelta]
-    dominated_cells: int = 0  # cells where b is no better on any metric
-
-
-def compare(a: ConformanceReport, b: ConformanceReport) -> Comparison:
-    """Cellwise b-minus-a deltas; reports must share the grid shape."""
-    grid_a = [(c.distance_m, c.lux) for c in a.cells]
-    grid_b = [(c.distance_m, c.lux) for c in b.cells]
-    if grid_a != grid_b:
-        raise DeviceError("SHAPE_MISMATCH", "reports cover different grids")
-    deltas = []
-    dominated = 0
-    for ca, cb in zip(a.cells, b.cells):
-        lat = (
-            round(cb.mean_latency_ms - ca.mean_latency_ms, 2)
-            if ca.mean_latency_ms is not None and cb.mean_latency_ms is not None
-            else None
-        )
-        deltas.append(
-            CellDelta(
-                ca.distance_m,
-                ca.lux,
-                round(cb.tpr - ca.tpr, 6),
-                round(cb.fpr - ca.fpr, 6),
-                lat,
-            )
-        )
-        if cb.tpr <= ca.tpr and cb.fpr >= ca.fpr:
-            dominated += 1
-    return Comparison(deltas, dominated)

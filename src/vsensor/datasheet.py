@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .devkit import (Finding, InterfaceDecl, PinRole, SensorDevice, SerialDecl, audit,
-                     declared_channels, exposure_channels)
+                     declared_channels)
 from .vbus import ExposureRecord
 
 SCHEMA_VERSION = 1
@@ -273,10 +273,15 @@ def interface_from_pinout(pinout: object) -> InterfaceDecl:
         raise ValueError("datasheet has no comm_spec_pinout section")
     try:
         pins = [(p["name"], PinRole(p["role"])) for p in pinout["pins"]]
+        bad = _check_pinout_consistency(pinout)
+        if bad:
+            raise ValueError(bad[0].message)
         serial = pinout.get("serial")
         decl = SerialDecl(
             serial["address"], serial["register_map_len"], serial["packet_spec_id"]
         ) if serial else None
+        if decl and not all(isinstance(n, int) for n in (decl.address, decl.register_map_len)):
+            raise ValueError("serial address and register_map_len must be integers")
         return InterfaceDecl(pins, decl, pinout.get("declared_outputs", "-"))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed comm_spec_pinout: {e}") from e
@@ -315,18 +320,19 @@ def cross_check(
             findings.append(
                 Finding(code, f"datasheet {key} {declared} != device {key} {actual}")
             )
-    findings.extend(audit(run_log, interface, wiring).findings)
-    findings.extend(_exposure_findings(ds, interface, run_log, wiring))
+    verdict = audit(run_log, interface, wiring)
+    findings.extend(verdict.findings)
+    findings.extend(_exposure_findings(ds, run_log, verdict.channels))
     return findings
 
 
-def _exposure_findings(ds: Datasheet, interface: InterfaceDecl, run_log: list[ExposureRecord],
-                       wiring: dict[str, str] | None) -> list[Finding]:
-    """Observed channels absent from the privacy label's data_exposed list; a
-    record outside every declared channel is observed as ``<channel>:<detail>``."""
+def _exposure_findings(ds: Datasheet, run_log: list[ExposureRecord],
+                       channels: list[str | None]) -> list[Finding]:
+    """Observed channels (one per record) absent from the privacy label's
+    data_exposed list; one outside every declared channel is ``<channel>:<detail>``."""
     declared = set(ds.doc["privacy_security_label"].get("data_exposed", []))
     observed: dict[str, int] = {}
-    for rec, channel in zip(run_log, exposure_channels(run_log, interface, wiring)):
+    for rec, channel in zip(run_log, channels):
         observed.setdefault(channel or f"{rec.channel}:{rec.detail}", rec.time_ms)
     return [Finding("UNDECLARED_EXPOSURE", f"observed {token} (first at t={at}) missing from "
                     "privacy_security_label.data_exposed")

@@ -231,6 +231,7 @@ class Finding:
 class AuditVerdict:
     passed: bool
     findings: list[Finding] = field(default_factory=list)
+    channels: list[str | None] = field(default_factory=list)  # per record, as audited
 
 
 def declared_channels(interface: InterfaceDecl) -> list[str]:
@@ -271,7 +272,8 @@ def audit(run_log: list[ExposureRecord], interface: InterfaceDecl,
     and no serial payload may exceed the register map."""
     findings: list[Finding] = []
     serial = interface.serial
-    for rec, channel in zip(run_log, exposure_channels(run_log, interface, wiring)):
+    channels = exposure_channels(run_log, interface, wiring)
+    for rec, channel in zip(run_log, channels):
         if channel is None:
             if rec.channel == "PIN":
                 what = f"pin emission on undeclared line {rec.detail!r} at t={rec.time_ms}"
@@ -284,7 +286,7 @@ def audit(run_log: list[ExposureRecord], interface: InterfaceDecl,
             findings.append(Finding("OVERSIZED_PAYLOAD", f"{rec.bits // 8}-byte payload exceeds "
                                     f"register map length {serial.register_map_len} "
                                     f"at t={rec.time_ms}"))
-    return AuditVerdict(passed=not findings, findings=findings)
+    return AuditVerdict(passed=not findings, findings=findings, channels=channels)
 
 
 def parse_exposure_csv(text: str) -> list[ExposureRecord]:

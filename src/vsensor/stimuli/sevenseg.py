@@ -171,8 +171,6 @@ def render_display(
 
 def _decode_upright(lit: np.ndarray) -> Reading | None:
     ys, xs = np.nonzero(lit)
-    if len(ys) == 0:
-        return None
     y0, y1 = int(ys.min()), int(ys.max())
     x0 = int(xs.min())
     if y1 - y0 + 1 != CELL_H:

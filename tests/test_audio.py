@@ -62,6 +62,8 @@ class TestSynthAudio:
     def test_feature_window_validation(self):
         with pytest.raises(ValueError):
             FeatureWindow(np.zeros((10, 5)))
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            FeatureWindow(np.full((10, FEATURE_DIM), np.nan))
 
     def test_word_starts_on_hop_at_or_before_script_time(self):
         # scripted at 1,698 ms, the word is embedded from frame 84 (1,680 ms)
@@ -114,6 +116,9 @@ class TestDetectKeywords:
             for s in range(25)
         )
         assert rejected >= 20 and kept == 25
+
+    def test_no_templates_no_detection(self):
+        assert detect_keywords(synth_audio([("on", 300)], VOCAB, seed=3), {}) == []
 
     def test_refractory_single_event_per_word(self):
         w = synth_audio([("on", 300)], VOCAB, seed=3)

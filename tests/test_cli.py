@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from vsensor import cli
 from vsensor.cli import main
 from vsensor.datasheet import canonical_json, datasheet_for_device
 from vsensor.scenario import ScenarioError, run_scenario
@@ -221,11 +222,25 @@ MALFORMED = [
     ("crosscheck_unknown_device",
      "datasheet crosscheck person.mlsd.json --device nope --device-from",
      _one_device("PERSON"), "no device 'nope' in scenario"),
+    ("crosscheck_no_devices", "datasheet crosscheck person.mlsd.json --device-from",
+     {"seed": 1, "duration_ms": 100}, "scenario has no devices"),
     ("audit_no_pinout", "audit exposure.csv", {"identity": {}},
      "datasheet has no comm_spec_pinout section"),
     ("audit_malformed_pinout", "audit exposure.csv",
      {"comm_spec_pinout": {"pins": [{"name": "VDD", "role": "antenna"}]}},
      "malformed comm_spec_pinout: 'antenna' is not a valid PinRole"),
+    # exposure.csv holds a PIN and a SERIAL record, so each field below is read
+    ("audit_serial_address_string", "audit exposure.csv",
+     {"comm_spec_pinout": {"pins": [], "serial": {
+         "address": "0x29", "register_map_len": 8, "packet_spec_id": "bcd-reading-v1"}}},
+     "malformed comm_spec_pinout: serial address and register_map_len must be integers"),
+    ("audit_register_map_len_string", "audit exposure.csv",
+     {"comm_spec_pinout": {"pins": [], "serial": {
+         "address": 41, "register_map_len": "8", "packet_spec_id": "bcd-reading-v1"}}},
+     "malformed comm_spec_pinout: serial address and register_map_len must be integers"),
+    ("audit_pin_name_not_a_string", "audit exposure.csv",
+     {"comm_spec_pinout": {"pins": [{"name": 5, "role": "signal_out"}], "serial": None}},
+     "malformed comm_spec_pinout: malformed pin entry {'name': 5, 'role': 'signal_out'}"),
     ("simulate_seed_on_list", "simulate --seed 3", [1], "top level must be a JSON object"),
     ("conformance_seed_on_list", "conformance --seed 3", [1],
      "top level must be a JSON object"),
@@ -268,7 +283,8 @@ MALFORMED = [
 def test_malformed_input_exit_2(command, doc, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.mlsp").write_bytes(b"")
-    (tmp_path / "exposure.csv").write_text("time_ms,channel,detail,bits\n")
+    (tmp_path / "exposure.csv").write_text(
+        "time_ms,channel,detail,bits\n5,PIN,p1.DETECT,1\n9,SERIAL,0x29,64\n")
     (tmp_path / "person.mlsd.json").write_bytes((FIXTURES / "person.mlsd.json").read_bytes())
     (tmp_path / "doc.json").write_bytes(
         doc if isinstance(doc, bytes) else canonical_json(doc).encode())
@@ -422,6 +438,13 @@ class TestComposeDemo:
         assert out.endswith("LIGHT_ON high [994, 2199)\n")
         again = (tmp_path / "again" / "trace.csv").read_bytes()
         assert (tmp_path / "trace.csv").read_bytes() == again
+
+    def test_never_asserted(self, tmp_path, capsys, monkeypatch):
+        # a voice that hears no command leaves the gated light off
+        voice = cli._DEMO_SCENARIO["devices"][1]["stimuli"][0]
+        monkeypatch.setitem(voice, "script", [])
+        assert run("compose-demo", "--out", tmp_path) == 0
+        assert capsys.readouterr().out.endswith("LIGHT_ON never asserted\n")
 
 
 class TestConformanceCommand:

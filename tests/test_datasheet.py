@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from vsensor import datasheet, devkit
 from vsensor.datasheet import (
     SECTIONS,
     Datasheet,
@@ -17,7 +18,7 @@ from vsensor.datasheet import (
     render,
     validate,
 )
-from vsensor.devkit import declared_channels, power_on
+from vsensor.devkit import declared_channels, exposure_channels, power_on
 from vsensor.scenario import KINDS
 from vsensor.sensors import gaze_detector, person_detector, text_reader
 from vsensor.stimuli.scene import SceneParams, render_scene
@@ -265,6 +266,23 @@ class TestCrossCheck:
         ds.doc["privacy_security_label"]["data_exposed"] = []
         findings = cross_check(ds, dev, bus.exposure_log, wiring)
         assert [f.code for f in findings] == ["UNDECLARED_EXPOSURE"]
+
+    def test_log_attributed_once(self, monkeypatch):
+        # the audit findings and the data_exposed check read one attribution
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exposure_channels(*args)
+
+        monkeypatch.setattr(devkit, "exposure_channels", counted)
+        monkeypatch.setattr(datasheet, "exposure_channels", counted, raising=False)
+        dev, bus, wiring = self.run_person()
+        log = bus.exposure_log + [ExposureRecord(700, "PIN", "x.DETECT", 1)]
+        assert devkit.audit(log, dev.interface, wiring).channels[-1] is None
+        assert len(calls) == 1
+        assert len(cross_check(load("person.mlsd.json"), dev, log, wiring)) == 2
+        assert len(calls) == 2
 
 
 class TestAttachPerformance:

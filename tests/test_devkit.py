@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from vsensor.devkit import (
@@ -49,6 +51,12 @@ class TestParameterBlobs:
         with pytest.raises(DeviceError) as e:
             unpack_blob(patched)
         assert e.value.code == "KIND_MISMATCH"
+
+    def test_device_error_pickles(self):
+        # a conformance worker sends its errors to the parent pickled
+        e = pickle.loads(pickle.dumps(DeviceError("BAD_CRC", "blob CRC mismatch")))
+        assert type(e) is DeviceError and (e.code, e.message) == ("BAD_CRC", "blob CRC mismatch")
+        assert str(e) == "BAD_CRC: blob CRC mismatch"
 
 
 class _StubDevice(SensorDevice):

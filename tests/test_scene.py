@@ -40,6 +40,17 @@ class TestSceneParams:
             SceneParams(True, False, 1.0, 0.5, 4.0, 0)
         with pytest.raises(ValueError):
             SceneParams(True, False, 1.0, 800, 4.0, 0, figure="cat")
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SceneParams(True, False, 1.0, 800, -1.0, 0)
+
+    @pytest.mark.parametrize("pixels,message", [
+        (np.zeros(256), "pixels must be a 2-D array"),
+        (np.zeros((15, 96)), "frame dimensions must be >= 16"),
+        (np.zeros((96, 15)), "frame dimensions must be >= 16"),
+    ], ids=["one_dimensional", "short", "narrow"])
+    def test_frame_shape_checks(self, pixels, message):
+        with pytest.raises(ValueError, match=message):
+            Frame(pixels)
 
 
 class TestRenderScene:

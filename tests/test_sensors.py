@@ -17,7 +17,7 @@ from vsensor.sensors import (
 from vsensor.stimuli.imu import synth_imu
 from vsensor.stimuli.audio import synth_audio, word_signature
 from vsensor.stimuli.scene import Frame, SceneParams, render_scene
-from vsensor.stimuli.sevenseg import Reading, render_display
+from vsensor.stimuli.sevenseg import Reading, _render_patch, decode_display, render_display
 from vsensor.vbus import Bus, Direction, high_intervals
 
 POS = render_scene(SceneParams(True, False, 1.0, 800, 4.0, seed=1))
@@ -210,6 +210,14 @@ class TestTextReader:
     def test_no_display_sentinel(self):
         blank = Frame(np.full((64, 128), 20, dtype=np.uint8))
         assert self.read_registers(blank) == b"\xff" * 8
+
+    def test_reading_beyond_bcd_capacity_sentinel(self):
+        # the decoder has no digit limit; the BCD codec's 7 whole digits do
+        pixels = np.full((32, 96), 20.0)
+        pixels[8:19, 8:82] = _render_patch(Reading(False, "123456789", "5"), 235.0)
+        frame = Frame(pixels.astype(np.uint8))
+        assert decode_display(frame) == Reading(False, "123456789", "5")
+        assert self.read_registers(frame) == b"\xff" * 8
 
     def test_before_first_refresh_sentinel(self):
         bus = Bus()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vsensor.stimuli.scene import Frame
+from vsensor.stimuli.scene import Frame, SceneParams, render_scene
 from vsensor.stimuli.sevenseg import (
     SEGMENT_TABLE,
     DisplayLayout,
     DisplayParams,
     LayoutOverflow,
     Reading,
+    _decode_upright,
+    _render_patch,
     decode_display,
     render_display,
     segment_lookup,
@@ -63,6 +65,10 @@ class TestRenderDisplay:
         with pytest.raises(LayoutOverflow):
             render_display(Reading(False, "1", "123456789"))
 
+    def test_right_angle_rotations_only(self):
+        with pytest.raises(ValueError, match="rotation must be one of"):
+            DisplayLayout(rotation=45)
+
 
 class TestDecodeDisplay:
     def test_round_trip_spec_examples(self):
@@ -105,3 +111,32 @@ class TestDecodeDisplay:
                 render_display(r, layout, DisplayParams(seed=i))
             )
             assert decoded is not None and str(decoded) == str(r), (str(r), rot)
+
+    def test_scene_frame_is_no_display(self):
+        frame = render_scene(SceneParams(True, False, 1.0, 800, 4.0, seed=1))
+        assert np.ptp(frame.pixels) >= 60  # enough contrast to try every rotation
+        assert decode_display(frame) is None
+
+
+ONE, MINUS_EIGHT = Reading(False, "1", ""), Reading(True, "8", "")
+ALL = slice(None)
+
+
+# lit masks: a reading's bare patch (marker, cells, point; no margin) with
+# (rows, columns, lit) edits; a cell is 5 px wide at a 7 px pitch after a
+# 2 px marker and a 2 px gap, and the point fills rows 9-10 of a gap
+@pytest.mark.parametrize("reading,edits,expected", [
+    (Reading(False, "12", "5"), [], Reading(False, "12", "5")),
+    (ONE, [(ALL, slice(None, -2), False), (ALL, slice(-2, None), True)], None),
+    (ONE, [(ALL, 2, True)], None),
+    (ONE, [(slice(6, 10), 8, False)], None),
+    (ONE, [(slice(9, 11), slice(9, 11), False)], None),
+    (MINUS_EIGHT, [(slice(9, 11), slice(16, 18), False),
+                   (slice(9, 11), slice(9, 11), True)], None),
+], ids=["bare_patch_decodes", "marker_at_right_edge", "no_gap_after_marker",
+        "segments_no_digit", "no_point", "point_after_sign"])
+def test_decode_upright_rejects(reading, edits, expected):
+    lit = _render_patch(reading, 1.0) > 0
+    for rows, cols, value in edits:
+        lit[rows, cols] = value
+    assert _decode_upright(lit) == expected
