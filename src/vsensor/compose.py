@@ -3,62 +3,85 @@
 Every combinator is a pure transform from source PinTraces to a derived
 PinTrace, usable both offline on recorded traces and online as a Bus
 virtual line (the online form recomputes from the live traces, so the
-two modes agree by construction).  Tie-break rules are fixed: the
-gated-event window boundary is inclusive, and the latch reset wins ties.
+two modes agree by construction).  Each builds its output transition list
+in one pass, in time linear in the input transitions, and hands it to the
+PinTrace constructor; none drives its output edge by edge.  Tie-break
+rules are fixed: the gated-event window boundary is inclusive, and the
+latch reset wins ties.
 """
 
 from __future__ import annotations
 
-from .vbus import HIGH, LOW, PinTrace, high_spans, trace_from_spans
+from .vbus import HIGH, LOW, LogicLevel, PinTrace, high_spans, trace_from_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
+
+_COMPLEMENT = (HIGH, LOW)  # indexed by level
+_NEVER = float("inf")
+
+
+def _settle(line_id: str, initial: LogicLevel, drives) -> PinTrace:
+    """The trace that time-ordered (t, level) drives leave from ``initial``.
+
+    The first drive of each run of equal levels is a transition, unless it
+    repeats the level already in force (as ``PinTrace.append`` would skip).
+    """
+    transitions = []
+    level = initial
+    for t, lvl in drives:
+        if lvl != level:
+            transitions.append((t, lvl))
+            level = lvl
+    return PinTrace(line_id, initial, transitions)
 
 
 def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     """One-tick pulse per event rising edge with the gate recently HIGH.
 
     A rising edge at t qualifies when the gate was HIGH at any instant in
-    the closed window [t - window_ms, t]; adjacent pulses merge.
+    the closed window [t - window_ms, t], clipped at 0.
     """
     if window_ms < 0:
         raise ValueError("window_ms must be >= 0")
     # Rising edges and gate spans are both time-ordered and window starts
-    # never decrease, so a span that ends at or before one window's start
-    # is behind every later window too: one pointer walks the spans.
-    spans = high_spans(gate)
-    j = 0
-    pulses = []
+    # (t - window_ms, or 0) never decrease, so a span that ends at or before
+    # one window's start is behind every later window too: one pass walks
+    # the spans, and an edge qualifies when the first span not behind its
+    # window has begun.  A line's rising edges are at least 2 ms apart, so
+    # the pulses never touch.
+    spans = iter(high_spans(gate) + [(_NEVER, _NEVER)])
+    s, e = next(spans)
+    s = -_NEVER if s is None else s
+    transitions = []
     for t in event.rising_edges():
-        a = max(0, t - window_ms)
-        while j < len(spans) and spans[j][1] is not None and spans[j][1] <= a:
-            j += 1
-        if j < len(spans) and (spans[j][0] is None or spans[j][0] <= t):
-            pulses.append((t, t + 1))
-    return trace_from_spans(f"gated({event.line_id})", pulses)
+        while e is not None and (e <= t - window_ms or e <= 0):
+            s, e = next(spans)
+        if s <= t:
+            transitions += ((t, HIGH), (t + 1, LOW))
+    return PinTrace(f"gated({event.line_id})", LOW, transitions)
 
 
 def invert(line: PinTrace) -> PinTrace:
     """Logical complement of a trace."""
-    out = PinTrace(
+    return PinTrace(
         f"not({line.line_id})",
-        HIGH if line.initial_level == LOW else LOW,
+        _COMPLEMENT[line.initial_level],
+        [(t, _COMPLEMENT[lvl]) for t, lvl in line.transitions],
     )
-    for t, lvl in line.transitions:
-        out.append(t, HIGH if lvl == LOW else LOW)
-    return out
 
 
 def debounce(line: PinTrace, hold_ms: int) -> PinTrace:
     """Output follows input only after the input is stable for hold_ms."""
     if hold_ms < 0:
         raise ValueError("hold_ms must be >= 0")
-    out = PinTrace(f"debounce({line.line_id})", line.initial_level)
-    n = len(line.transitions)
-    for i, (t, lvl) in enumerate(line.transitions):
-        next_t = line.transitions[i + 1][0] if i + 1 < n else None
-        if next_t is None or next_t - t >= hold_ms:
-            out.append(t + hold_ms, lvl)
-    return out
+    # a level reaches the output hold_ms after it is driven, unless the
+    # input changes again within hold_ms
+    tr = line.transitions
+    drives = [(t + hold_ms, lvl) for (t, lvl), (t_next, _) in zip(tr, tr[1:])
+              if t_next - t >= hold_ms]
+    if tr:
+        drives.append((tr[-1][0] + hold_ms, tr[-1][1]))
+    return _settle(f"debounce({line.line_id})", line.initial_level, drives)
 
 
 def pulse_stretch(line: PinTrace, ms: int) -> PinTrace:
@@ -66,22 +89,17 @@ def pulse_stretch(line: PinTrace, ms: int) -> PinTrace:
     if ms < 0:
         raise ValueError("ms must be >= 0")
     # a span that the initial level opens has no rising edge to stretch
-    spans = [(s, e if s is None or e is None else max(e, s + ms)) for s, e in high_spans(line)]
+    spans = [(s, e if s is None or e is None or e - s >= ms else s + ms)
+             for s, e in high_spans(line)]
     return trace_from_spans(f"stretch({line.line_id})", spans)
 
 
 def sr_latch(set_line: PinTrace, reset_line: PinTrace) -> PinTrace:
     """HIGH after a set rising edge until a reset rising edge; reset wins ties."""
-    sets = set(set_line.rising_edges())
-    resets = set(reset_line.rising_edges())
-    out = PinTrace(f"latch({set_line.line_id},{reset_line.line_id})")
-    level = LOW
-    for t in sorted(sets | resets):
-        want = LOW if t in resets else HIGH  # reset wins ties
-        if want != level:
-            out.append(t, want)
-            level = want
-    return out
+    want = dict.fromkeys(set_line.rising_edges(), HIGH)
+    want.update(dict.fromkeys(reset_line.rising_edges(), LOW))  # reset wins ties
+    return _settle(f"latch({set_line.line_id},{reset_line.line_id})", LOW,
+                   sorted(want.items()))
 
 
 def gaze_voice(

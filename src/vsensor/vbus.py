@@ -89,7 +89,11 @@ class PinTrace:
     """Time-ordered logic-level transitions on one named line.
 
     Transitions are strictly increasing in time and alternate levels;
-    the level before the first transition is ``initial_level``.
+    the level before the first transition is ``initial_level``.  ``append``
+    is the one checked way to add a transition.  A transition list passed
+    to the constructor is taken as it is, so it must already hold this
+    invariant, with the first level differing from ``initial_level`` and
+    every level a ``LogicLevel``.
     """
 
     line_id: str
@@ -128,7 +132,9 @@ class PinTrace:
         return True
 
     def rising_edges(self) -> list[int]:
-        return [t for t, lvl in self.transitions if lvl == HIGH]
+        # levels alternate, so the HIGHs are every other transition, from
+        # the first one when the line starts LOW and the second when HIGH
+        return [t for t, _ in self.transitions[int(self.initial_level)::2]]
 
 
 def high_spans(trace: PinTrace) -> list[tuple[int | None, int | None]]:
@@ -153,12 +159,13 @@ def trace_from_spans(line_id: str, spans: list[tuple[int | None, int | None]]) -
     adjacent spans merge.
     """
     bounds: list[int | None] = []  # s0, e0, s1, e1, ... of the merged spans
+    end = None  # bounds[-1]
     for s, e in spans:
-        if bounds and (bounds[-1] is None or s <= bounds[-1]):
-            if bounds[-1] is not None:
-                bounds[-1] = e if e is None else max(bounds[-1], e)
-        else:
+        if not bounds or (end is not None and s > end):
             bounds += (s, e)
+            end = e
+        elif end is not None and (e is None or e > end):
+            bounds[-1] = end = e
     initial = HIGH if bounds and bounds[0] is None else LOW
     levels = itertools.cycle((LOW, HIGH) if initial == HIGH else (HIGH, LOW))
     times = [t for t in bounds if t is not None]
@@ -296,11 +303,15 @@ class Bus:
         self.virtual_lines[line_id] = compute
 
     def virtual_trace(self, line_id: str) -> PinTrace:
+        """The line computed over the live traces, cut at the clock: an edge
+        the computation dates later (a debounce hold still running) is not
+        shown until the clock reaches it, and is gone if the input changes
+        first."""
         if line_id not in self.virtual_lines:
             raise BusError(f"unknown virtual line {line_id!r}")
         trace = self.virtual_lines[line_id](self)
-        trace.line_id = line_id
-        return trace
+        seen = bisect.bisect_right(trace.transitions, self.clock, key=_time_of)
+        return PinTrace(line_id, trace.initial_level, trace.transitions[:seen])
 
     def trace(self, line_id: str) -> PinTrace:
         """Real or virtual trace by line id."""

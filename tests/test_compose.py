@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_vbus import _traces
 
 from vsensor.compose import (
     debounce,
@@ -9,7 +12,7 @@ from vsensor.compose import (
     pulse_stretch,
     sr_latch,
 )
-from vsensor.vbus import HIGH, LOW, Bus, PinTrace
+from vsensor.vbus import HIGH, LOW, Bus, LogicLevel, PinTrace
 
 
 def trace(transitions, initial=LOW, lid="x"):
@@ -21,6 +24,16 @@ def trace(transitions, initial=LOW, lid="x"):
 
 def dense(tr, dur):
     return [int(tr.level_at(t)) for t in range(dur)]
+
+
+def assert_well_formed(tr):
+    """Times strictly increase, levels alternate from a first level that
+    differs from the initial one, and every level is a LogicLevel: the
+    checked ``append`` path takes every transition as a change."""
+    assert isinstance(tr.initial_level, LogicLevel)
+    assert all(isinstance(lvl, LogicLevel) for _, lvl in tr.transitions)
+    rebuilt = PinTrace(tr.line_id, tr.initial_level)
+    assert all(rebuilt.append(t, lvl) for t, lvl in tr.transitions)
 
 
 def rand_trace(rng, lid, dur=1500, rate=0.01):
@@ -134,28 +147,77 @@ class TestBruteForceOracles:
             out.append(lvl)
         return out
 
+    def oracle_debounce(self, line, hold, horizon):
+        """At t the output takes the input's level once the input has held
+        it over [t - hold, t - 1]; before the first transition the input is
+        at its initial level."""
+        x = [int(line.initial_level)] * hold + dense(line, horizon)
+        out, lvl = [], int(line.initial_level)
+        for t in range(horizon):
+            held = x[t:t + hold + 1]  # the input over [t - hold, t]
+            if all(v == held[0] for v in held[:-1]):
+                lvl = held[0]
+            out.append(lvl)
+        return out
+
     def test_gated_event_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             ev, gate = rand_trace(rng, "e"), rand_trace(rng, "g")
             w = int(rng.integers(0, 400))
-            got = dense(gated_event(ev, gate, w), self.DUR)
-            assert got == self.oracle_gated(ev, gate, w)
+            out = gated_event(ev, gate, w)
+            assert_well_formed(out)
+            assert dense(out, self.DUR) == self.oracle_gated(ev, gate, w)
 
     def test_sr_latch_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             s, r = rand_trace(rng, "s"), rand_trace(rng, "r")
-            assert dense(sr_latch(s, r), self.DUR) == self.oracle_latch(s, r)
+            out = sr_latch(s, r)
+            assert_well_formed(out)
+            assert dense(out, self.DUR) == self.oracle_latch(s, r)
 
     def test_pulse_stretch_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             line, ms = rand_trace(rng, "l"), int(rng.integers(0, 400))
-            want = dense(line, self.DUR)
+            want = dense(line, self.DUR + ms)
             for r in line.rising_edges():
-                want[r:r + ms] = [1] * len(want[r:r + ms])
-            assert dense(pulse_stretch(line, ms), self.DUR) == want
+                want[r:r + ms] = [1] * ms
+            out = pulse_stretch(line, ms)
+            assert_well_formed(out)
+            assert dense(out, self.DUR + ms) == want
+
+    def test_debounce_oracle(self):
+        rng = np.random.default_rng(12)
+        initial_high = 0
+        for k in range(200):
+            line = rand_trace(rng, "l")
+            hold = int(rng.integers(1, 120)) if k % 10 else 0
+            initial_high += line.initial_level == HIGH
+            out = debounce(line, hold)
+            assert_well_formed(out)
+            horizon = self.DUR + hold + 1  # past the last output edge
+            assert dense(out, horizon) == self.oracle_debounce(line, hold, horizon)
+        assert initial_high > 0
+
+    def test_invert_oracle(self):
+        rng = np.random.default_rng(13)
+        initial_high = 0
+        for _ in range(200):
+            line = rand_trace(rng, "l")
+            initial_high += line.initial_level == HIGH
+            out = invert(line)
+            assert_well_formed(out)
+            assert dense(out, self.DUR) == [1 - v for v in dense(line, self.DUR)]
+        assert initial_high > 0
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_traces(), _traces(), st.integers(0, 30))
+    def test_outputs_are_well_formed(self, a, b, ms):
+        for out in (gated_event(a, b, ms), invert(a), debounce(a, ms),
+                    pulse_stretch(a, ms), sr_latch(a, b), gaze_voice(a, b, ms)):
+            assert_well_formed(out)
 
     def test_purity(self):
         rng = np.random.default_rng(9)
@@ -194,7 +256,9 @@ class TestGazeVoiceDemo:
             synth_audio([("on", 1000), ("off", 2200)], ["on", "off"], seed=12), 0
         )
         bus.advance(3000)
-        return high_intervals(bus.virtual_trace("LIGHT_ON"), 3000)
+        light = bus.virtual_trace("LIGHT_ON")
+        assert_well_formed(light)
+        return high_intervals(light, 3000)
 
     def test_on_with_gaze_lights_up(self):
         ivs = self.run_demo(facing=True)
@@ -239,5 +303,6 @@ class TestScenarioComposites:
         bus = run_scenario(doc).bus
         assert set(bus.lines) == {"eye", "mic"}
         light = bus.virtual_trace("LIGHT_ON")
+        assert_well_formed(light)
         assert len(light.rising_edges()) == 1
         assert light.transitions == gaze_voice(bus.trace("eye"), bus.trace("mic"), 500).transitions

@@ -8,7 +8,7 @@ shared machine does not make these flaky.
 
 import time
 
-from vsensor.compose import gated_event
+from vsensor.compose import debounce, gated_event, invert, pulse_stretch, sr_latch
 from vsensor.sensors import tap_sensor
 from vsensor.stimuli.imu import synth_imu
 from vsensor.vbus import HIGH, LOW, Bus, PinTrace
@@ -37,6 +37,41 @@ def test_gated_event_is_linear():
     assert _elapsed(lambda: out.append(gated_event(event, gate, 50))) < BOUND_S
     # every event edge but the first, at 0 ms, sees a gate pulse 11 ms earlier
     assert out[0].rising_edges() == event.rising_edges()[1:]
+
+
+def _timed(fn):
+    out = []
+    assert _elapsed(lambda: out.append(fn())) < BOUND_S
+    return out[0]
+
+
+def test_invert_is_linear():
+    line = _toggling_trace("x", N, 0)
+    out = _timed(lambda: invert(line))
+    assert out.transitions == [(t, LOW if lvl == HIGH else HIGH) for t, lvl in line.transitions]
+
+
+def test_debounce_is_linear():
+    line = _toggling_trace("x", N, 0)
+    # every level holds 7 ms, so a 5 ms hold passes each edge 5 ms late
+    out = _timed(lambda: debounce(line, 5))
+    assert out.transitions == [(t + 5, lvl) for t, lvl in line.transitions]
+
+
+def test_pulse_stretch_is_linear():
+    line = _toggling_trace("x", N, 0)
+    # 7 ms pulses every 14 ms stretch to 10 ms without merging
+    out = _timed(lambda: pulse_stretch(line, 10))
+    assert out.transitions == [(t + 3 * (lvl == LOW), lvl) for t, lvl in line.transitions]
+
+
+def test_sr_latch_is_linear():
+    set_line = _toggling_trace("s", N, 0)
+    reset_line = _toggling_trace("r", N, 3)
+    # each set is reset 3 ms later
+    out = _timed(lambda: sr_latch(set_line, reset_line))
+    assert out.transitions == [(t, lvl) for k in range(0, N, 2) for t, lvl in
+                               ((7 * k, HIGH), (7 * k + 3, LOW))]
 
 
 def test_feed_stimulus_is_linear():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vsensor.compose import debounce
 from vsensor.devkit import parse_exposure_csv, power_on
 from vsensor.scenario import run_scenario
 from vsensor.sensors import text_reader, voice_sensor_serial
@@ -275,12 +276,29 @@ class TestBus:
             return tr
 
         bus.add_virtual_line("derived", compute)
+        bus.advance(3)  # the derived edge is at 3, so shown from clock 3
         assert bus.virtual_trace("derived").transitions == [(3, HIGH)]
         assert "derived" in bus.trace_csv()
         with pytest.raises(BusError, match="duplicate"):
             bus.add_virtual_line("src", compute)
         with pytest.raises(BusError, match="unknown virtual line 'nope'"):
             bus.trace("nope")
+
+    def test_virtual_line_holds_no_edge_past_the_clock(self):
+        bus = Bus()
+        bus.add_line("L")
+        bus.add_virtual_line("db", lambda b: debounce(b.trace("L"), 50))
+        bus.advance(100)
+        bus.drive("L", HIGH, 100)
+        bus.advance(20)
+        # the hold runs until 150, so at 120 the debounced HIGH is not out yet
+        assert bus.virtual_trace("db").transitions == []
+        bus.advance(10)
+        bus.drive("L", LOW, 130)
+        for _ in range(3):
+            bus.advance(50)
+            assert bus.virtual_trace("db").transitions == []
+            assert "db" not in bus.trace_csv()
 
 
 # A stepper: (cadence_ms, lead_ms, pattern).  At its k-th call, time t, it
