@@ -219,6 +219,20 @@ class TestBruteForceOracles:
                     pulse_stretch(a, ms), sr_latch(a, b), gaze_voice(a, b, ms)):
             assert_well_formed(out)
 
+    def test_no_combinator_drives_its_output_edge_by_edge(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        a, b = rand_trace(rng, "a"), rand_trace(rng, "b")
+
+        def refuse(self, t, level):
+            raise AssertionError("a combinator called PinTrace.append")
+
+        monkeypatch.setattr(PinTrace, "append", refuse)
+        assert a.transitions and b.transitions
+        for combine in (lambda: gated_event(a, b, 50), lambda: invert(a),
+                        lambda: debounce(a, 20), lambda: pulse_stretch(a, 50),
+                        lambda: sr_latch(a, b), lambda: gaze_voice(a, b)):
+            combine()
+
     def test_purity(self):
         rng = np.random.default_rng(9)
         ev, gate = rand_trace(rng, "e"), rand_trace(rng, "g")

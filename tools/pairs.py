@@ -1,7 +1,7 @@
 r"""Paired benchmark runs of two commits; writes ``BENCH_<pr>.json``.
 
     python3 tools/pairs.py --base REV [--head REV] --pairs N --seconds S \
-        --workload W [W ...] [--seed N [N ...]] [--trace 0|1] --pr N
+        --workload W [W ...] [--seed N [N ...]] --pr N
 
 Each side is exported with ``git archive`` into its own temporary
 directory, so the measured files are exactly the committed ones and the
@@ -119,18 +119,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    declared = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+    declared = {m["name"]: m for m in bench["end_to_end"]}
     out = ROOT / f"BENCH_{args.pr}.json"
     doc = {"pr": args.pr, "machine": machine(),
-           "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                        "trace": args.trace, "seeds": args.seed},
+           "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seed},
            "results": {}}
     tmp = Path(tempfile.mkdtemp(prefix="vsensor-pairs-"))
     try:
@@ -141,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload:
             for seed in args.seed:
                 bench_args = ["--workload", workload, "--seed", str(seed),
-                              "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                              "--seconds", str(args.seconds)]
                 runs: dict[str, list[dict]] = {s: [] for s in SIDES}
                 for k in range(args.pairs):
                     for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
