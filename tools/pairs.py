@@ -1,11 +1,12 @@
 r"""Paired benchmark runs of two commits; writes ``BENCH_<pr>.json``.
 
-    python3 tools/pairs.py --base REV [--head REV] --pairs N --seconds S \
+    python3 tools/pairs.py --base REV --pairs N --seconds S \
         --workload W [W ...] [--seed N [N ...]] --pr N
 
-Each side is exported with ``git archive`` into its own temporary
-directory, so the measured files are exactly the committed ones and the
-repository's ``.git`` is left as it was.  For each workload and seed the
+The base side is ``REV`` and the head side is ``HEAD``.  Each side is
+exported with ``git archive`` into its own temporary directory, so the
+measured files are exactly the committed ones and the repository's
+``.git`` is left as it was.  For each workload and seed the
 pairs run one after another, alternating which side runs first, and every
 run is a fresh ``python3 bench/run.py`` with the same arguments on both
 sides.  A run that exits non-zero or prints no result is recorded with its
@@ -16,7 +17,7 @@ the head side won (by the direction ``BENCHMARK.json`` gives the metric;
 ties count for neither), the ratio of medians, and the bound
 ``BENCHMARK.json`` fixes for an end-to-end metric.  It also records nproc,
 the CPU model, the Python and numpy versions, and both commits.  With
-``--base`` equal to ``--head`` it measures the noise floor (an A/A run).
+``--base HEAD`` it measures the noise floor (an A/A run).
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ def summarize(runs: dict[str, list[dict]], declared: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision of the parent side")
-    parser.add_argument("--head", default="HEAD", help="revision of the change side")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--workload", nargs="+", required=True)
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="vsensor-pairs-"))
     try:
         trees = {}
-        for side, rev in zip(SIDES, (args.base, args.head)):
+        for side, rev in zip(SIDES, (args.base, "HEAD")):
             trees[side] = tmp / side
             doc[side] = {"rev": rev, "commit": export(rev, trees[side])}
         for workload in args.workload:
