@@ -16,7 +16,7 @@ from . import conformance as conf_mod
 from . import datasheet as ds_mod
 from .devkit import DeviceError, audit, exposure_channels, parse_exposure_csv
 from .scenario import ScenarioError, run_scenario
-from .vbus import BusError, high_intervals
+from .vbus import BusError, ExposureRecord, high_intervals
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -82,6 +82,25 @@ def _cmd_conformance(args) -> int:
     return EXIT_OK
 
 
+def _scenario_device(args, log: list[ExposureRecord] | None = None):
+    """The ``--device`` of the ``--device-from`` scenario (its first device
+    if none is named), its wiring, and its own records of ``log`` (of the
+    scenario's run if None).
+
+    A device drives only its wired lines and answers only at its address,
+    so the other devices' records are the ones outside its channels.
+    """
+    result = run_scenario(_load_json(args.device_from))
+    device_id = args.device or next(iter(result.devices), None)
+    if device_id not in result.devices:
+        raise _CliError(f"no device {device_id!r} in scenario" if device_id
+                        else "scenario has no devices")
+    device, wiring = result.devices[device_id], result.wiring[device_id]
+    log = result.bus.exposure_log if log is None else log
+    own = [r for r, c in zip(log, exposure_channels(log, device.interface, wiring)) if c]
+    return device, wiring, own
+
+
 def _cmd_datasheet(args) -> int:
     parsed = ds_mod.parse(_read_text(args.file))
     if isinstance(parsed, list):
@@ -106,17 +125,7 @@ def _cmd_datasheet(args) -> int:
     # crosscheck
     if not args.device_from:
         raise _CliError("crosscheck requires --device-from <scenario>")
-    scenario_doc = _load_json(args.device_from)
-    result = run_scenario(scenario_doc)
-    device_id = args.device or next(iter(result.devices), None)
-    if device_id not in result.devices:
-        raise _CliError(f"no device {device_id!r} in scenario" if device_id
-                        else "scenario has no devices")
-    device, wiring = result.devices[device_id], result.wiring[device_id]
-    # a device drives only its wired lines and answers only at its address,
-    # so the other devices' records are the ones outside its channels
-    log = result.bus.exposure_log
-    own = [r for r, c in zip(log, exposure_channels(log, device.interface, wiring)) if c]
+    device, wiring, own = _scenario_device(args)
     findings = ds_mod.cross_check(parsed, device, own, wiring)
     for f in findings:
         print(f"{f.code}: {f.message}")
@@ -135,7 +144,12 @@ def _cmd_audit(args) -> int:
         interface = ds_mod.interface_from_pinout(pinout)
     except ValueError as e:
         raise _CliError(str(e)) from e
-    verdict = audit(records, interface)
+    wiring = None
+    if args.device_from:
+        _, wiring, records = _scenario_device(args, records)
+    elif args.device:
+        raise _CliError("--device requires --device-from <scenario>")
+    verdict = audit(records, interface, wiring)
     for f in verdict.findings:
         print(f"{f.code}: {f.message}")
     if not args.quiet:
@@ -209,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress chatter")
+    # the device of a scenario run whose own records a command checks
+    device = argparse.ArgumentParser(add_help=False)
+    device.add_argument("--device-from", dest="device_from", default=None, metavar="SCENARIO")
+    device.add_argument("--device", default=None, metavar="ID")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario file", parents=[common])
@@ -224,16 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="report.cfr.json")
     p.set_defaults(fn=_cmd_conformance)
 
-    p = sub.add_parser("datasheet", parents=[common], help="datasheet toolchain")
+    p = sub.add_parser("datasheet", parents=[common, device], help="datasheet toolchain")
     p.add_argument("action", choices=("validate", "render", "crosscheck"))
     p.add_argument("file")
     p.add_argument("--mode", choices=("machine", "human"), default="human")
     p.add_argument("--out", default=None)
-    p.add_argument("--device-from", dest="device_from", default=None)
-    p.add_argument("--device", default=None)
     p.set_defaults(fn=_cmd_datasheet)
 
-    p = sub.add_parser("audit", parents=[common], help="audit an exposure log against a datasheet")
+    p = sub.add_parser("audit", parents=[common, device],
+                       help="audit an exposure log against a datasheet")
     p.add_argument("log")
     p.add_argument("datasheet")
     p.set_defaults(fn=_cmd_audit)

@@ -12,6 +12,7 @@ import bisect
 import re
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -132,9 +133,14 @@ class SensorDevice:
     """A powered virtual component: declared interface, private state,
     private stimulus channel.  Subclasses implement the inference core as
     ``_configure(payload)``, given each loaded parameter payload, and
-    ``_step(t, port)``, called every ``cadence_ms`` once powered.  A device
-    that declares a serial interface also implements ``serial_read(n, at)``
-    over its read-only register map.
+    ``_step(t, port)``, called at multiples of ``cadence_ms`` once powered.
+    A device that declares a serial interface also implements
+    ``serial_read(n, at)`` over its read-only register map.
+
+    The base device is stepped at every tick.  A kind whose ``_idle()`` says
+    that a step with no stimulus due would change nothing is parked instead:
+    it is stepped at the first tick at or after its next queued stimulus,
+    and feeding it wakes it.
     """
 
     kind: DeviceKind
@@ -147,6 +153,7 @@ class SensorDevice:
         self._params_payload: bytes | None = None
         # (at, stimulus), sorted by time; FIFO among equal times
         self._stimuli: list[tuple[int, object]] = []
+        self._wake: Callable[[int], None] | None = None  # set by power_on
 
     # host-facing surface: interface, kind, cadence -- nothing else
 
@@ -182,6 +189,19 @@ class SensorDevice:
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
         bisect.insort_right(self._stimuli, (at, stimulus), key=_time_of)
+        if self._wake is not None:
+            self._wake(at)
+
+    def _idle(self) -> bool:
+        """True when a step with no stimulus due would change nothing."""
+        return False
+
+    def _next_due(self) -> int | None:
+        """When the device next needs a step, as ``Bus.attach_stepper`` asks:
+        now (0) unless idle, else at its next stimulus, or None if none is queued."""
+        if not self._idle():
+            return 0
+        return self._stimuli[0][0] if self._stimuli else None
 
     def _pop_stimuli(self, t: int) -> list[tuple[int, object]]:
         """Drain queued stimuli with timestamp <= t, oldest first."""
@@ -193,7 +213,8 @@ class SensorDevice:
 
 
 def power_on(device: SensorDevice, bus: Bus, wiring: dict[str, str]) -> SensorDevice:
-    """Wire and attach a device; it steps at its cadence from now on."""
+    """Wire and attach a device; it steps at its cadence from now on, when it
+    has anything to do (see ``SensorDevice``)."""
     if device._powered:
         raise DeviceError("POWERED", "device already powered")
     missing = [p for p in device.interface.pin_names() if p not in wiring]
@@ -212,7 +233,9 @@ def power_on(device: SensorDevice, bus: Bus, wiring: dict[str, str]) -> SensorDe
         pin_lines[pin] = line_id
     port = DevicePort(bus, pin_lines)
     device._powered = True
-    bus.attach_stepper(device.cadence_ms, lambda t: device._step(t, port))
+    handle = bus.attach_stepper(device.cadence_ms, lambda t: device._step(t, port),
+                                device._next_due)
+    device._wake = lambda at: bus.wake(handle, at)
     if serial is not None:
         bus.attach_serial(serial.address, device)
     return device

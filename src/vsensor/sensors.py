@@ -156,6 +156,11 @@ class _DetectorPinDevice(SensorDevice):
             "fall_frames": self.policy.fall_frames,
         }
 
+    def _idle(self) -> bool:
+        # deasserted with no positive run: a frameless step only counts a
+        # negative, and the negative count is not read while deasserted
+        return not self._asserted and not self._consecutive_pos
+
     def _step(self, t, port) -> None:
         due = self._pop_stimuli(t)
         frame = due[-1][1] if due else None
@@ -234,6 +239,9 @@ class TapSensorDevice(SensorDevice):
     def timing(self) -> dict[str, int]:
         return {"cadence_ms": self.cadence_ms, "pulse_ms": self.pulse_ms}
 
+    def _idle(self) -> bool:
+        return True  # a step acts only on the windows due
+
     def _configure(self, payload: bytes) -> None:
         threshold_g, refractory_ms = struct.unpack("<fH", payload)
         self._detector_params = TapParams(threshold_g, refractory_ms)
@@ -262,6 +270,9 @@ def tap_sensor(
 
 class _VoiceCore(SensorDevice):
     _modality = FeatureWindow
+
+    def _idle(self) -> bool:
+        return True  # a step acts only on the windows due
 
     def _configure(self, payload: bytes) -> None:
         threshold, n_words = struct.unpack_from("<fB", payload)
@@ -386,6 +397,9 @@ class TextReaderDevice(SensorDevice):
 
     def _configure(self, payload: bytes) -> None:
         pass  # decode pipeline has no tunable parameters in v1
+
+    def _idle(self) -> bool:
+        return True  # a step acts only on the frame due
 
     def _step(self, t, port) -> None:
         due = self._pop_stimuli(t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import itemgetter
@@ -200,9 +201,17 @@ class Bus:
         self.exposure_log: list[ExposureRecord] = []
         self.i2c_log: list[I2CTransaction] = []
         self.virtual_lines: dict[str, Callable[["Bus"], PinTrace]] = {}
-        self._steppers: list[tuple[int, Callable[[int], None]]] = []
-        # (due_ms, attach index): steppers due together run in attach order
+        # per stepper: cadence, step callback, next-due callback, attach clock
+        self._steppers: list[tuple[int, Callable[[int], None],
+                                   Callable[[], int | None] | None, int]] = []
+        # (due_ms, attach index): steppers due together run in attach order.
+        # An entry whose time is not its stepper's _armed time is stale: the
+        # stepper was stepped or re-armed sooner since, and the entry is dropped.
         self._due: list[tuple[int, int]] = []
+        self._armed: list[int | None] = []  # per stepper: its due time, None when parked
+        # the last step begun, (time, attach index): the steps at or before it
+        # in (time, index) order have run; (clock, inf) between advances
+        self._stepped: tuple[int, float] = (0, math.inf)
 
     # -- lines -----------------------------------------------------------
 
@@ -223,13 +232,39 @@ class Bus:
 
     # -- devices ---------------------------------------------------------
 
-    def attach_stepper(self, cadence_ms: int, fn: Callable[[int], None]) -> None:
-        """Register a step callback invoked every cadence_ms of sim time."""
+    def attach_stepper(self, cadence_ms: int, fn: Callable[[int], None],
+                       next_due: Callable[[], int | None] | None = None) -> int:
+        """Register ``fn(t)``, stepped at multiples t of cadence_ms after the
+        clock; returns the stepper's handle for ``wake``.
+
+        Without ``next_due`` the stepper runs at every tick.  With it, the bus
+        asks ``next_due()`` on attaching and after each step when the stepper
+        next has work: it runs at its first tick at or after that time (a time
+        already past means its next tick), and None parks it until ``wake``.
+        """
         if cadence_ms < 1:
             raise BusError("cadence must be >= 1 ms")
-        first = (self.clock // cadence_ms + 1) * cadence_ms
-        heapq.heappush(self._due, (first, len(self._steppers)))
-        self._steppers.append((cadence_ms, fn))
+        handle = len(self._steppers)
+        self._steppers.append((cadence_ms, fn, next_due, self.clock))
+        self._armed.append(None)
+        at = self.clock if next_due is None else next_due()
+        if at is not None:
+            self.wake(handle, at)
+        return handle
+
+    def wake(self, handle: int, at: int) -> None:
+        """Make a stepper due at its first tick at or after ``at`` that has not
+        run yet, unless it is due sooner already."""
+        cadence, _, _, attached = self._steppers[handle]
+        t, i = self._stepped
+        # ticks up to t have run, and at t too for the steppers up to i;
+        # a stepper never runs at or before the clock it was attached at
+        start = max(at, attached + 1, t + (handle <= i))
+        tick = -(-start // cadence) * cadence
+        armed = self._armed[handle]
+        if armed is None or tick < armed:
+            self._armed[handle] = tick
+            heapq.heappush(self._due, (tick, handle))
 
     def attach_serial(self, address: int, responder: object) -> None:
         if not (I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX):
@@ -241,20 +276,30 @@ class Bus:
     # -- time ------------------------------------------------------------
 
     def advance(self, dt: int) -> None:
-        """Advance the clock by dt ms, stepping every attached device."""
+        """Advance the clock by dt ms, running each stepper due up to the new
+        clock in (time, attach index) order; a parked stepper is not run."""
         if dt < 1:
             raise BusError("dt must be >= 1")
         end = self.clock + dt
-        due = self._due
+        due, armed = self._due, self._armed
         while due and due[0][0] <= end:
-            t, i = due[0]
-            cadence, fn = self._steppers[i]
-            self.clock = t
-            fn(t)
-            # (t, i) is still the minimum: a stepper attached by fn is due
-            # after t.  A stepper that raises stays due at t.
-            heapq.heapreplace(due, (t + cadence, i))
-        self.clock = end
+            t, i = heapq.heappop(due)
+            if armed[i] != t:
+                continue  # stale entry
+            cadence, fn, next_due, _ = self._steppers[i]
+            # popped and unarmed before the step, so a wake during it re-arms
+            armed[i] = None
+            self.clock, self._stepped = t, (t, i)
+            try:
+                fn(t)
+            except BaseException:
+                armed[i] = t  # a stepper that raises stays due at t
+                heapq.heappush(due, (t, i))
+                raise
+            at = t + cadence if next_due is None else next_due()
+            if at is not None:
+                self.wake(i, at)
+        self.clock, self._stepped = end, (end, math.inf)
 
     # -- serial ----------------------------------------------------------
 

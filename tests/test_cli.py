@@ -400,6 +400,39 @@ class TestAudit:
         assert run("audit", log, sheet) == 1
         assert "OVERSIZED_PAYLOAD: 9-byte payload" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("device,sheet", [("gaze", "gaze.mlsd.json"),
+                                              ("voice", "voice_pin.mlsd.json")])
+    def test_each_device_of_a_multi_device_log(self, device, sheet, tmp_path, capsys):
+        scenario = FIXTURES / "gaze_voice_scenario.json"
+        run("simulate", scenario, "--out", tmp_path, "--quiet")
+        log = tmp_path / "exposure.csv"
+        # the whole log holds the other device's records too
+        assert run("audit", log, FIXTURES / sheet) == 1
+        assert capsys.readouterr().out.endswith("fail\n")
+        assert run("audit", log, FIXTURES / sheet, "--device-from", scenario,
+                   "--device", device) == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    def test_device_records_against_another_sheet_fail(self, tmp_path, capsys):
+        scenario = FIXTURES / "gaze_voice_scenario.json"
+        run("simulate", scenario, "--out", tmp_path, "--quiet")
+        code = run("audit", tmp_path / "exposure.csv", FIXTURES / "gaze.mlsd.json",
+                   "--device-from", scenario, "--device", "voice")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("UNDECLARED_CHANNEL: pin emission on undeclared line 'voice.STATE'")
+        assert "gaze.DETECT" not in out
+
+    @pytest.mark.parametrize("options,expected", [
+        (["--device", "gaze"], "--device requires --device-from <scenario>"),
+        (["--device-from", FIXTURES / "gaze_voice_scenario.json", "--device", "nope"],
+         "no device 'nope' in scenario"),
+    ], ids=["device_without_scenario", "unknown_device"])
+    def test_device_options_usage_exit_2(self, options, expected, tmp_path, capsys):
+        run("simulate", FIXTURES / "gaze_voice_scenario.json", "--out", tmp_path, "--quiet")
+        assert run("audit", tmp_path / "exposure.csv", FIXTURES / "gaze.mlsd.json", *options) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     def test_bad_header_exit_2(self, tmp_path, capsys):
         log = tmp_path / "exposure.csv"
         log.write_text("t,channel,detail,bits\n5,PIN,p1.DETECT,1\n")

@@ -20,7 +20,7 @@ from vsensor.datasheet import (
 )
 from vsensor.devkit import declared_channels, exposure_channels, power_on
 from vsensor.scenario import KINDS
-from vsensor.sensors import gaze_detector, person_detector, text_reader
+from vsensor.sensors import gaze_detector, person_detector, text_reader, voice_sensor_pin
 from vsensor.stimuli.scene import SceneParams, render_scene
 from vsensor.vbus import Bus, ExposureRecord
 
@@ -317,6 +317,11 @@ class TestAttachPerformance:
 def test_gaze_fixture_is_the_default_gaze_sheet():
     text = canonical_json(datasheet_for_device(gaze_detector()))
     assert (FIXTURES / "gaze.mlsd.json").read_text(encoding="utf-8") == text
+
+
+def test_voice_pin_fixture_is_the_default_voice_pin_sheet():
+    text = canonical_json(datasheet_for_device(voice_sensor_pin()))
+    assert (FIXTURES / "voice_pin.mlsd.json").read_text(encoding="utf-8") == text
 
 
 def test_datasheet_for_device_truthful_for_every_kind():

@@ -9,6 +9,7 @@ shared machine does not make these flaky.
 import time
 
 from vsensor.compose import debounce, gated_event, invert, pulse_stretch, sr_latch
+from vsensor.devkit import power_on
 from vsensor.sensors import tap_sensor
 from vsensor.stimuli.imu import synth_imu
 from vsensor.vbus import HIGH, LOW, Bus, PinTrace
@@ -105,3 +106,17 @@ def test_long_advance_is_linear():
 
     assert _elapsed(run) < BOUND_S
     assert len(bus.lines["x"].transitions) == 200_000
+
+
+def test_parked_device_is_stepped_per_stimulus_not_per_tick():
+    # TAP's cadence is 10 ms, but with nothing due it is parked: a window at
+    # the end of a 10,000,000 ms advance costs one step, not a million
+    bus = Bus()
+    device = power_on(tap_sensor(), bus, {"VDD": "vdd", "GND": "gnd", "TAP": "tap"})
+    device.feed_stimulus(synth_imu([500], 1000, 0.03, seed=1), 9_998_000)
+    steps = []
+    step = device._step
+    device._step = lambda t, port: (steps.append(t), step(t, port))
+    _timed(lambda: bus.advance(10_000_000))
+    assert steps == [9_998_000]
+    assert len(bus.lines["tap"].rising_edges()) == 1
