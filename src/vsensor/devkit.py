@@ -182,7 +182,8 @@ class SensorDevice:
         self._params_payload = payload
 
     def feed_stimulus(self, stimulus: object, at: int) -> None:
-        """Queue a synthetic physical input on the private channel."""
+        """Queue a synthetic physical input on the private channel; a powered
+        device is woken for it (see ``Bus.wake``)."""
         if self._modality is not None and not isinstance(stimulus, self._modality):
             raise DeviceError(
                 "MODALITY_MISMATCH",
