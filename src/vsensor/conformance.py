@@ -206,8 +206,9 @@ def _map_trials(trial, pairs: list[tuple[int, int]]) -> list[tuple[bool, int | N
         return [trial(pair) for pair in pairs]
     pool = multiprocessing.get_context("fork").Pool(workers, _set_forked_trial, (trial,))
     try:
-        # chunksize 1: a 50-frame negative trial costs far more than a
-        # positive one that stops early, so deal trials out one at a time
+        # chunksize 1: a negative trial renders 50 frames and reads about half
+        # of them, far more than a positive one that stops early, so deal
+        # trials out one at a time
         results = pool.map(_call_forked_trial, pairs, chunksize=1)
         pool.close()
     except BaseException:

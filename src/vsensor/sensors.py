@@ -134,7 +134,8 @@ class PersonPinPolicy:
 
 
 class _DetectorPinDevice(SensorDevice):
-    """Shared DETECT pin semantics: rise/fall frame debounce of ``_present(frame)``."""
+    """Shared DETECT pin semantics: rise/fall frame debounce of ``_present(frame)``,
+    which is pure, so a frame is read only when the pin's next level depends on it."""
 
     _modality = Frame
     pin_name = "DETECT"
@@ -144,8 +145,9 @@ class _DetectorPinDevice(SensorDevice):
         self.policy = policy
         super().__init__(_interface(self.declared_outputs, self.pin_name),
                          policy.frame_period_ms)
-        self._consecutive_pos = 0
-        self._consecutive_neg = 0
+        # the last max(rise, fall) readings, newest last: a bool, or a Frame
+        # not read yet; a frameless step, or none yet, reads False
+        self._readings = [False] * max(policy.rise_frames, policy.fall_frames)
         self._asserted = False
 
     def timing(self) -> dict[str, int]:
@@ -157,26 +159,29 @@ class _DetectorPinDevice(SensorDevice):
         }
 
     def _idle(self) -> bool:
-        # deasserted with no positive run: a frameless step only counts a
-        # negative, and the negative count is not read while deasserted
-        return not self._asserted and not self._consecutive_pos
+        # deasserted after a known negative, which blocks every rise window
+        # that a skipped frameless step (one more negative) would change
+        return not self._asserted and self._readings[-1] is False
 
     def _step(self, t, port) -> None:
         due = self._pop_stimuli(t)
-        frame = due[-1][1] if due else None
-        positive = frame is not None and self._present(frame)
-        if positive:
-            self._consecutive_pos += 1
-            self._consecutive_neg = 0
-        else:
-            self._consecutive_neg += 1
-            self._consecutive_pos = 0
-        if not self._asserted and self._consecutive_pos >= self.policy.rise_frames:
-            self._asserted = True
-            port.drive(self.pin_name, HIGH, t)
-        elif self._asserted and self._consecutive_neg >= self.policy.fall_frames:
-            self._asserted = False
-            port.drive(self.pin_name, LOW, t)
+        readings = self._readings
+        del readings[0]
+        readings.append(due[-1][1] if due else False)
+        level = self._asserted
+        n = self.policy.fall_frames if level else self.policy.rise_frames
+        window = range(len(readings) - n, len(readings))
+        # a known reading of the current level blocks the flip; else read the
+        # unread frames newest first, each once, until one blocks it
+        if any(readings[i] is level for i in window):
+            return
+        for i in reversed(window):
+            if isinstance(readings[i], Frame):
+                readings[i] = bool(self._present(readings[i]))
+                if readings[i] is level:
+                    return
+        self._asserted = not level
+        port.drive(self.pin_name, LOW if level else HIGH, t)
 
 
 class PersonDetectorDevice(_DetectorPinDevice):

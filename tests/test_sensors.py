@@ -1,12 +1,19 @@
 import struct
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vsensor import conformance
 from vsensor.devkit import DeviceError, DeviceKind, pack_blob, power_on
 from vsensor.scenario import KINDS
 from vsensor.sensors import (
+    PersonDetectorDevice,
     PersonPinPolicy,
+    _DetectorPinDevice,
     gaze_detector,
     person_detector,
     tap_sensor,
@@ -18,7 +25,7 @@ from vsensor.stimuli.imu import synth_imu
 from vsensor.stimuli.audio import synth_audio, word_signature
 from vsensor.stimuli.scene import Frame, SceneParams, render_scene
 from vsensor.stimuli.sevenseg import Reading, _render_patch, decode_display, render_display
-from vsensor.vbus import Bus, Direction, high_intervals
+from vsensor.vbus import HIGH, LOW, Bus, Direction, high_intervals
 
 POS = render_scene(SceneParams(True, False, 1.0, 800, 4.0, seed=1))
 NEG = render_scene(SceneParams(False, False, 1.0, 800, 4.0, seed=2))
@@ -77,6 +84,104 @@ class TestPersonDetector:
         a = person_detector()
         b = person_detector(threshold=0.95, figure="rodent")
         assert a.interface == b.interface
+
+
+# -- frames read only when the pin depends on them ------------------------------
+
+
+@contextmanager
+def counter_debounce():
+    """The detectors as two run counters that read every frame, stepped at
+    every tick: the oracle whose pin the lazy reads must give."""
+
+    def step(self, t, port):
+        due = self._pop_stimuli(t)
+        frame = due[-1][1] if due else None
+        positive = frame is not None and self._present(frame)
+        pos, neg = vars(self).get("_runs", (0, 0))
+        self._runs = pos, neg = (pos + 1, 0) if positive else (0, neg + 1)
+        if not self._asserted and pos >= self.policy.rise_frames:
+            self._asserted = True
+            port.drive(self.pin_name, HIGH, t)
+        elif self._asserted and neg >= self.policy.fall_frames:
+            self._asserted = False
+            port.drive(self.pin_name, LOW, t)
+
+    with patch.object(_DetectorPinDevice, "_step", step), \
+            patch.object(_DetectorPinDevice, "_idle", lambda self: False):
+        yield
+
+
+def stub_frame(positive: bool) -> Frame:
+    frame = Frame(np.zeros((16, 16), np.uint8))
+    frame.positive = positive
+    return frame
+
+
+def run_stub_frames(policy, feeds, cuts, duration):
+    """DETECT's transitions and the frames read, for (clock, at, positive)
+    feeds, each fed once the clock reaches ``clock``."""
+    reads = []
+
+    def present(self, frame):
+        reads.append(frame)
+        return frame.positive
+
+    bus = Bus()
+    dev = person_detector(policy)
+    wire(dev, bus, "out")
+    frames = [(clock, at, stub_frame(positive)) for clock, at, positive in feeds]
+    with patch.object(PersonDetectorDevice, "_present", present):
+        for point in sorted({0, duration, *cuts, *(clock for clock, _, _ in feeds)}):
+            if point > bus.clock:
+                bus.advance(point - bus.clock)
+            for clock, at, frame in frames:
+                if clock == point:
+                    dev.feed_stimulus(frame, at)
+    return bus.trace("out").transitions, len(reads)
+
+
+DURATION = 2000
+# off-grid times, plus a few that collide with each other and with ticks
+_AT = st.one_of(st.integers(0, DURATION), st.sampled_from([0, 100, 105]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rise=st.integers(1, 4), fall=st.integers(1, 4),
+       feeds=st.lists(st.tuples(st.sampled_from([0, 0, 300, 1000]), _AT, st.booleans()),
+                      max_size=30),
+       cuts=st.lists(st.integers(1, DURATION - 1), max_size=5))
+def test_lazy_reads_give_the_counter_pin(rise, fall, feeds, cuts):
+    policy = PersonPinPolicy(rise_frames=rise, fall_frames=fall)
+    transitions, reads = run_stub_frames(policy, feeds, cuts, DURATION)
+    with counter_debounce():
+        every_frame, oracle_reads = run_stub_frames(policy, feeds, cuts, DURATION)
+    assert transitions == every_frame
+    assert reads <= oracle_reads
+
+
+@pytest.mark.parametrize("rise, reads", [(2, 24), (3, 16)])
+def test_negative_frames_read(rise, reads):
+    # frames at 0, 100, ..., 4900: the one at 0 is superseded at tick 100, so
+    # the counters read 49; a negative once read blocks the next rise - 1
+    # rise windows too, so about one frame in rise_frames is read
+    feeds = [(0, k * 100, False) for k in range(50)]
+    policy = PersonPinPolicy(rise_frames=rise)
+    assert run_stub_frames(policy, feeds, [], 5000) == ([], reads)
+    with counter_debounce():
+        assert run_stub_frames(policy, feeds, [], 5000) == ([], 49)
+
+
+def test_boundary_report_equals_the_counter_report():
+    # at sigma 8 the 7 m cell lies on the decision boundary, so its trials
+    # see mixed runs of readings, which no perfect fixture grid reaches
+    protocol = conformance.TestProtocol(
+        DeviceKind.PERSON, [3.0, 7.0], [5.0], trials_per_cell=10,
+        negative_window_ms=1000, noise_sigma=8.0, seed=3)
+    report = conformance.run(person_detector, protocol)
+    assert 0 < report.cell(7.0, 5.0).tpr < 1
+    with counter_debounce():
+        assert conformance.run(person_detector, protocol).to_json() == report.to_json()
 
 
 class TestGazeDetector:

@@ -152,7 +152,9 @@ def test_all_kinds_fixture_step_count():
     doc = json.loads((FIXTURES / "all_kinds_scenario.json").read_text())
     with counting_steps() as count:
         run_scenario(doc)
-    assert count["steps"] == 85
+    # a detector left holding an unread frame is not idle, so it takes one
+    # more frameless step than one that read that frame at once would
+    assert count["steps"] == 86
     with stepping_every_tick(), counting_steps() as count:
         run_scenario(doc)
     assert count["steps"] == 608
