@@ -22,7 +22,7 @@ from .datasheet import canonical_json
 from .devkit import DeviceError, DeviceKind, power_on
 from .sensors import gaze_detector, person_detector
 from .stimuli import derive_seed
-from .stimuli.scene import SceneParams, render_scene
+from .stimuli.scene import SceneFrame, SceneParams
 from .vbus import Bus
 
 TOOL_VERSION = "1.0"
@@ -163,7 +163,7 @@ def _run_trial(
     t = 0
     while t < window and not trace.transitions:
         frame_seed = int(rng.integers(0, 2**63))
-        device.feed_stimulus(render_scene(replace(scene, seed=frame_seed)), t)
+        device.feed_stimulus(SceneFrame(replace(scene, seed=frame_seed)), t)
         bus.advance(frame_period)
         t += frame_period
     if not trace.transitions:
@@ -206,9 +206,9 @@ def _map_trials(trial, pairs: list[tuple[int, int]]) -> list[tuple[bool, int | N
         return [trial(pair) for pair in pairs]
     pool = multiprocessing.get_context("fork").Pool(workers, _set_forked_trial, (trial,))
     try:
-        # chunksize 1: a negative trial renders 50 frames and reads about half
-        # of them, far more than a positive one that stops early, so deal
-        # trials out one at a time
+        # chunksize 1: a negative trial feeds 50 frames and renders only the
+        # ones it reads, far more than a positive one that stops early, so
+        # deal trials out one at a time
         results = pool.map(_call_forked_trial, pairs, chunksize=1)
         pool.close()
     except BaseException:

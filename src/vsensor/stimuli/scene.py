@@ -17,7 +17,7 @@ score an upper bound keeps below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +167,18 @@ def render_scene(p: SceneParams) -> Frame:
     return Frame(np.clip(img, 0, 255).astype(np.uint8))
 
 
+class SceneFrame(Frame):
+    """The frame ``render_scene(params)``, rendered on the first read of its
+    pixels and then kept: a frame that no detector reads is never rendered."""
+
+    def __init__(self, params: SceneParams) -> None:
+        self.params = params
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        return render_scene(self.params).pixels
+
+
 # -- templates --------------------------------------------------------------
 
 
@@ -252,7 +264,9 @@ def _numerator(img_fft: np.ndarray, prepared: tuple, shape: tuple[int, int]) -> 
 
 def _ncc_max(num: np.ndarray, window_sums: tuple[np.ndarray, np.ndarray],
              prepared: tuple) -> float:
-    """match_score from the numerator: each window's NCC, max, clipped."""
+    """match_score from the numerator: each window's NCC, max, clipped.
+    ``window_sums`` is integral_images' pair or _exact_integral_images'
+    stack of the same integers; both give the same result."""
     th, tw, tn, _ = prepared
     s_int, q_int = window_sums
     wsum = _window_sum(s_int, th, tw)
@@ -303,6 +317,16 @@ def integral_images(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, q
 
 
+def _exact_integral_images(pixels: np.ndarray) -> np.ndarray:
+    """integral_images of integer pixels, exactly: the int64 sums of the
+    pixels and of their squares, stacked into one (2, h + 1, w + 1) array."""
+    px = pixels.astype(np.int64)
+    sums = np.zeros((2, px.shape[0] + 1, px.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(px, axis=0), axis=1, out=sums[0, 1:, 1:])
+    np.cumsum(np.cumsum(px * px, axis=0), axis=1, out=sums[1, 1:, 1:])
+    return sums
+
+
 def _window_sum(integral: np.ndarray, th: int, tw: int) -> np.ndarray:
     return (
         integral[th:, tw:]
@@ -346,12 +370,14 @@ def _multi_scale_reaches(frame: Frame, figure: str, facing: bool, head_only: boo
         return _multi_scale_score(frame, figure, facing, head_only, heights) >= threshold
     img = pixels.astype(np.float64)
     img_fft = np.fft.rfft2(img)
-    sums = integral_images(img)
-    exact_sums = np.array(sums, dtype=np.int64)  # integer-valued, as the pixels are
+    # the NCC chain reads the exact sums too: integral_images(img) holds the
+    # same integers, each below 2**53, so every float _ncc_max derives from
+    # them is the same, bit for bit, and no float copy of the sums is made
+    exact_sums = _exact_integral_images(pixels)
     for p in _template_bank(figure, facing, head_only, tuple(heights), img.shape):
         num = _numerator(img_fft, p, img.shape)
         if (not _cannot_reach(num, exact_sums, p, float(threshold))
-                and _ncc_max(num, sums, p) >= threshold):
+                and _ncc_max(num, exact_sums, p) >= threshold):
             return True
     return False
 

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import random
 
+import numpy as np
 import pytest
 
 from vsensor import conformance
@@ -11,9 +12,10 @@ from vsensor.conformance import (
     envelope,
     run,
 )
-from vsensor.devkit import DeviceError, DeviceKind
-from vsensor.stimuli import derive_seed
-from vsensor.sensors import person_detector, tap_sensor
+from vsensor.devkit import DeviceError, DeviceKind, SensorDevice
+from vsensor.sensors import PersonDetectorDevice, person_detector, tap_sensor
+from vsensor.stimuli import derive_seed, scene
+from vsensor.stimuli.scene import SceneFrame, SceneParams
 
 SMALL = TestProtocol(
     DeviceKind.PERSON,
@@ -75,6 +77,42 @@ class TestRun:
                                 latency_budget_ms=budget, negative_window_ms=300, seed=7)
         cell = run(person_detector, protocol).cells[0]
         assert (cell.tpr, cell.mean_latency_ms) == (tpr, latency)
+
+    def test_renders_only_frames_read(self, monkeypatch):
+        # a negative trial feeds a frame every step but reads only those the
+        # DETECT pin's next level depends on; in-process, so the counts see
+        # every trial
+        monkeypatch.setattr(conformance, "_usable_cpus", lambda: 1)
+        counts = {"fed": 0, "rendered": 0, "read": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(SensorDevice, "feed_stimulus",
+                            counted("fed", SensorDevice.feed_stimulus))
+        monkeypatch.setattr(scene, "render_scene", counted("rendered", scene.render_scene))
+        monkeypatch.setattr(PersonDetectorDevice, "_present",
+                            counted("read", PersonDetectorDevice._present))
+        protocol = TestProtocol(DeviceKind.PERSON, [1.0, 3.0], [50], trials_per_cell=10,
+                                negative_window_ms=1000, seed=3)
+        run(person_detector, protocol)
+        assert 0 < counts["rendered"] == counts["read"] < counts["fed"]
+
+    def test_scene_frame_renders_once(self, monkeypatch):
+        params = SceneParams(True, False, 2.0, 200.0, 4.0, 17)
+        expected = scene.render_scene(params).pixels
+        renders = []
+        render = scene.render_scene
+        monkeypatch.setattr(scene, "render_scene", lambda p: renders.append(p) or render(p))
+        frame = SceneFrame(params)
+        person_detector().feed_stimulus(frame, 0)
+        assert renders == []
+        first, second = frame.pixels, frame.pixels
+        assert renders == [params] and first is second
+        assert first.dtype == np.uint8 and np.array_equal(first, expected)
 
     def test_reproducible(self, small_report):
         again = run(person_detector, SMALL)

@@ -5,17 +5,20 @@ from hypothesis import strategies as st
 
 from vsensor.stimuli import scene as scene_mod
 from vsensor.stimuli.scene import (
+    DEFAULT_SCALE_HEIGHTS,
     FRAME_SIZE,
     Frame,
     GazeParams,
     PersonParams,
     SceneParams,
+    _exact_integral_images,
     _figure_template,
     _template_bank,
     detect_gaze,
     detect_person,
     figure_height_px,
     gaze_present,
+    integral_images,
     match_score,
     person_present,
     prepare_template,
@@ -232,11 +235,15 @@ class TestPresentDecision:
     def test_boundary_grid(self, rejections):
         # sigma 8 puts PERSON at 3-7 m and GAZE at 1.5-3 m near the 0.8
         # threshold; 40 seeds a cell reach frames whose best window is not
-        # the first of its 2x2 block, where a bound on one window would fail
+        # the first of its 2x2 block, where a bound on one window would fail.
+        # GAZE's facing-away negatives score 0.46-0.75 here, and about one
+        # scale in six of them passes the bound and runs the NCC chain
         person = [scene(True, False, d, lux, 8.0, seed)
                   for d in (3.0, 5.0, 7.0) for lux in (5.0, 50.0) for seed in range(40)]
         gaze = [scene(True, True, d, lux, 8.0, seed)
                 for d in (1.5, 2.0, 2.5, 3.0) for lux in (5.0, 50.0) for seed in range(40)]
+        gaze += [scene(True, False, d, lux, 8.0, seed)
+                 for d in (1.0, 2.0, 3.0) for lux in (5.0, 50.0) for seed in range(20)]
         scores = [detect_person(f).score for f in person] + [detect_gaze(f).score for f in gaze]
         decided = [person_present(f) for f in person] + [gaze_present(f) for f in gaze]
         assert decided == [x >= 0.8 for x in scores]
@@ -254,6 +261,29 @@ class TestPresentDecision:
         assert [f.pixels.shape for f in frames[2:4]] == [(64, 128), (20, 20)]
         for f in frames:
             assert_decisions_exact(f, threshold)
+
+    def test_exact_integral_images(self):
+        # the bounded path's integer sums against integral_images of the same
+        # uint8 pixels; its NCC chain reads them in place of the float sums
+        wide = np.concatenate([scene(seed=8, d=2.0).pixels[16:80, 16:80],
+                               scene(facing=True, seed=9).pixels[16:80, 16:80]], axis=1)
+        saturated = np.full((FRAME_SIZE, FRAME_SIZE), 255, dtype=np.uint8)
+        for px in (scene(seed=11).pixels, scene(False, seed=12, sigma=16.0).pixels, wide,
+                   scene(seed=10).pixels[36:56, 38:58], saturated):
+            img = px.astype(np.float64)
+            exact = _exact_integral_images(px)
+            floats = integral_images(img)
+            assert exact.dtype == np.int64 and exact.shape == (2, *np.add(px.shape, 1))
+            assert np.array_equal(exact, np.array(floats, dtype=np.int64))
+            assert exact.astype(np.float64).tobytes() == np.array(floats).tobytes()
+            img_fft = np.fft.rfft2(img)
+            bank = [p for facing, head_only in ((False, False), (True, True))
+                    for p in _template_bank("person", facing, head_only,
+                                            DEFAULT_SCALE_HEIGHTS, px.shape)]
+            assert bank
+            for p in bank:
+                num = scene_mod._numerator(img_fft, p, px.shape)
+                assert scene_mod._ncc_max(num, exact, p) == scene_mod._ncc_max(num, floats, p)
 
     @pytest.mark.parametrize("threshold", [0.999999, 1.0])
     def test_exact_template_copy(self, threshold):
