@@ -151,8 +151,10 @@ class SensorDevice:
         self._cadence_ms = cadence_ms
         self._powered = False
         self._params_payload: bytes | None = None
-        # (at, stimulus), sorted by time; FIFO among equal times
-        self._stimuli: list[tuple[int, object]] = []
+        # (at, stimulus), sorted by time; FIFO among equal times.  The queue is
+        # _stimuli[_head:]; the consumed slots before it hold None.
+        self._stimuli: list[tuple[int, object] | None] = []
+        self._head = 0
         self._wake: Callable[[int], None] | None = None  # set by power_on
 
     # host-facing surface: interface, kind, cadence -- nothing else
@@ -189,7 +191,7 @@ class SensorDevice:
                 "MODALITY_MISMATCH",
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
-        bisect.insort_right(self._stimuli, (at, stimulus), key=_time_of)
+        bisect.insort_right(self._stimuli, (at, stimulus), lo=self._head, key=_time_of)
         if self._wake is not None:
             self._wake(at)
 
@@ -202,14 +204,21 @@ class SensorDevice:
         now (0) unless idle, else at its next stimulus, or None if none is queued."""
         if not self._idle():
             return 0
-        return self._stimuli[0][0] if self._stimuli else None
+        queue, head = self._stimuli, self._head
+        return queue[head][0] if head < len(queue) else None
 
     def _pop_stimuli(self, t: int) -> list[tuple[int, object]]:
-        """Drain queued stimuli with timestamp <= t, oldest first."""
-        queue = self._stimuli
-        cut = bisect.bisect_right(queue, t, key=_time_of)
-        due = queue[:cut]
-        del queue[:cut]
+        """Drain queued stimuli with timestamp <= t, oldest first.  Amortised
+        O(1) a stimulus: the consumed slots are dropped once they are at least
+        half the list, and until then hold None, so no stimulus outlives its use."""
+        queue, head = self._stimuli, self._head
+        cut = bisect.bisect_right(queue, t, lo=head, key=_time_of)
+        due = queue[head:cut]
+        queue[head:cut] = [None] * (cut - head)
+        if 2 * cut >= len(queue):
+            del queue[:cut]
+            cut = 0
+        self._head = cut
         return due
 
 

@@ -25,10 +25,10 @@ from .sensors import (
     voice_sensor_serial,
 )
 from .stimuli import derive_seed
-from .stimuli.audio import synth_audio
-from .stimuli.imu import synth_imu
-from .stimuli.scene import SceneParams, render_scene
-from .stimuli.sevenseg import DisplayLayout, DisplayParams, Reading, render_display
+from .stimuli.audio import ScriptWindow
+from .stimuli.imu import TapWindow
+from .stimuli.scene import SceneFrame, SceneParams
+from .stimuli.sevenseg import DisplayFrame, DisplayLayout, DisplayParams, Reading
 from .vbus import I2C_ADDRESS_MAX, I2C_ADDRESS_MIN, Bus, BusError, Direction
 
 
@@ -148,7 +148,7 @@ def _parse_reading(text: object) -> Reading:
 
 def _scene_frames(e: dict, seed: int):
     for k in range(e["count"]):
-        frame = render_scene(SceneParams(**e["params"], seed=derive_seed(seed, k)))
+        frame = SceneFrame(SceneParams(**e["params"], seed=derive_seed(seed, k)))
         yield e["at"] + k * e["every_ms"], frame
 
 
@@ -157,22 +157,23 @@ def _display_frames(e: dict, seed: int):
     layout = DisplayLayout(**e["layout"])
     for k in range(e["count"]):
         params = DisplayParams(**e["params"], seed=derive_seed(seed, k))
-        yield e["at"] + k * e["every_ms"], render_display(reading, layout, params)
+        yield e["at"] + k * e["every_ms"], DisplayFrame(reading, layout, params)
 
 
 # modality -> (builder of (at, stimulus) pairs from (entry, seed), the
 # entry's keys besides modality, at and seed, with defaults).  A dict
 # default is a nested object checked key by key; params and layout take
-# their dataclass fields.
+# their dataclass fields.  Each stimulus is checked as it is built and
+# synthesized when its device first reads it (SceneFrame and the like).
 _MODALITIES = {
     "scene": (_scene_frames,
               {"every_ms": 100, "count": 1,
                "params": _fields(SceneParams, person_present=False)}),
-    "imu": (lambda e, seed: [(e["at"], synth_imu(e["taps"], e["duration_ms"],
+    "imu": (lambda e, seed: [(e["at"], TapWindow(e["taps"], e["duration_ms"],
                                                  e["noise_sigma"], seed))],
             {"taps": [], "duration_ms": 1000, "noise_sigma": 0.03}),
-    "audio": (lambda e, seed: [(e["at"], synth_audio(e["script"], e["vocabulary"], seed,
-                                                     e["duration_ms"], e["noise_sigma"]))],
+    "audio": (lambda e, seed: [(e["at"], ScriptWindow(e["script"], e["vocabulary"], seed,
+                                                      e["duration_ms"], e["noise_sigma"]))],
               {"script": [], "vocabulary": ["on", "off"], "duration_ms": None,
                "noise_sigma": 0.08}),
     "display": (_display_frames,

@@ -12,11 +12,13 @@ The distractor "often" is constructed as a deliberate near-match for
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import derive_seed
+from . import check_noise, derive_seed
 
 FEATURE_DIM = 13
 HOP_MS = 20
@@ -56,16 +58,36 @@ def _word_vector(word: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: 1 and True are one key, but seed apart
 def word_signature(word: str) -> np.ndarray:
-    """Deterministic unit-norm feature signature for a word."""
+    """Deterministic unit-norm feature signature for a word, computed once
+    per word and shared, so it is read-only."""
     if word in CONFUSABLE:
         target, cos = CONFUSABLE[word]
         base = word_signature(target)
         raw = _word_vector(word)
         orth = raw - base * (raw @ base)
         orth /= np.linalg.norm(orth)
-        return cos * base + np.sqrt(1.0 - cos * cos) * orth
-    return _word_vector(word)
+        sig = cos * base + np.sqrt(1.0 - cos * cos) * orth
+    else:
+        sig = _word_vector(word)
+    sig.flags.writeable = False
+    return sig
+
+
+def check_audio(script: list[tuple[str, int]], vocabulary: list[str], seed: int,
+                duration_ms: int | None = None, noise_sigma: float = NOISE_SIGMA) -> None:
+    """Raise what ``synth_audio`` would raise for these arguments."""
+    known = set(vocabulary) | set(CONFUSABLE)
+    for word, start_ms in script:
+        if word not in known:
+            raise ValueError(f"script word {word!r} not in vocabulary or distractors")
+        if not (isinstance(start_ms, numbers.Integral) and start_ms >= 0):
+            raise ValueError(f"script time {start_ms!r} must be an integer >= 0")
+    if duration_ms is not None and not (isinstance(duration_ms, numbers.Integral)
+                                        and duration_ms >= 0):
+        raise ValueError(f"duration_ms must be an integer >= 0, not {duration_ms!r}")
+    check_noise(noise_sigma, seed)
 
 
 def synth_audio(
@@ -84,10 +106,7 @@ def synth_audio(
     Script words may be vocabulary words or distractor ids (anything with
     a signature, e.g. "often").
     """
-    known = set(vocabulary) | set(CONFUSABLE)
-    for word, _ in script:
-        if word not in known:
-            raise ValueError(f"script word {word!r} not in vocabulary or distractors")
+    check_audio(script, vocabulary, seed, duration_ms, noise_sigma)
     if duration_ms is None:
         last = max((t for _, t in script), default=0)
         duration_ms = last + WORD_FRAMES * HOP_MS + 200
@@ -102,6 +121,22 @@ def synth_audio(
             if i0 + k < n:
                 frames[i0 + k] += envelope[k] * sig
     return FeatureWindow(frames)
+
+
+class ScriptWindow(FeatureWindow):
+    """The window ``synth_audio(script, vocabulary, seed, duration_ms,
+    noise_sigma)``, checked when made, synthesized on the first read of its
+    frames and then kept."""
+
+    def __init__(self, script: list[tuple[str, int]], vocabulary: list[str], seed: int,
+                 duration_ms: int | None = None, noise_sigma: float = NOISE_SIGMA) -> None:
+        check_audio(script, vocabulary, seed, duration_ms, noise_sigma)
+        self._args = (tuple(map(tuple, script)), tuple(vocabulary), seed, duration_ms,
+                      noise_sigma)
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        return synth_audio(*self._args).frames
 
 
 def detect_keywords(

@@ -8,9 +8,13 @@ magnitude, threshold crossing, and a 100 ms refractory debounce.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import check_noise
 
 SAMPLE_RATE_HZ = 100
 SAMPLE_PERIOD_MS = 1000 // SAMPLE_RATE_HZ
@@ -44,13 +48,24 @@ class TapParams:
     refractory_ms: int = 100
 
 
+def check_imu(tap_times: list[int], duration_ms: int, noise_sigma: float, seed: int) -> None:
+    """Raise what ``synth_imu`` would raise for these arguments."""
+    if not (isinstance(duration_ms, numbers.Integral) and duration_ms >= SAMPLE_PERIOD_MS):
+        raise ValueError(f"duration_ms must be an integer >= {SAMPLE_PERIOD_MS}, "
+                         f"not {duration_ms!r}")
+    if not all(isinstance(t, numbers.Integral) for t in tap_times):
+        raise ValueError(f"tap_times must be integers, not {tap_times!r}")
+    if any(not (0 <= t < duration_ms) for t in tap_times):
+        raise ValueError("tap_times must lie within the window")
+    check_noise(noise_sigma, seed)
+
+
 def synth_imu(
     tap_times: list[int], duration_ms: int, noise_sigma: float, seed: int
 ) -> ImuWindow:
     """Gravity baseline plus noise, with a tap transient at each time."""
+    check_imu(tap_times, duration_ms, noise_sigma, seed)
     n = duration_ms // SAMPLE_PERIOD_MS
-    if any(not (0 <= t < duration_ms) for t in tap_times):
-        raise ValueError("tap_times must lie within the window")
     rng = np.random.default_rng(seed)
     samples = np.zeros((n, 3))
     samples[:, 2] = 1.0  # gravity on z
@@ -63,6 +78,21 @@ def synth_imu(
             if i0 + k < n:
                 samples[i0 + k, axis] += amp
     return ImuWindow(np.clip(samples, -MAX_ACCEL_G, MAX_ACCEL_G))
+
+
+class TapWindow(ImuWindow):
+    """The window ``synth_imu(tap_times, duration_ms, noise_sigma, seed)``,
+    checked when made, synthesized on the first read of its samples and then
+    kept."""
+
+    def __init__(self, tap_times: list[int], duration_ms: int, noise_sigma: float,
+                 seed: int) -> None:
+        check_imu(tap_times, duration_ms, noise_sigma, seed)
+        self._args = (tuple(tap_times), duration_ms, noise_sigma, seed)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return synth_imu(*self._args).samples
 
 
 def high_pass_magnitude(window: ImuWindow) -> np.ndarray:

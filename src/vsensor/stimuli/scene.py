@@ -21,7 +21,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import check_noise
+
 FRAME_SIZE = 96
+MIN_FRAME_PX = 16  # the smallest frame side a Frame takes
 FIGURE_BASE_HEIGHT_PX = 50  # apparent height at 1 m
 MIN_FIGURE_HEIGHT_PX = 6
 MAX_FIGURE_HEIGHT_PX = 88
@@ -39,8 +42,8 @@ class Frame:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 2:
             raise ValueError("pixels must be a 2-D array")
-        if self.pixels.shape[0] < 16 or self.pixels.shape[1] < 16:
-            raise ValueError("frame dimensions must be >= 16")
+        if min(self.pixels.shape) < MIN_FRAME_PX:
+            raise ValueError(f"frame dimensions must be >= {MIN_FRAME_PX}")
 
 
 @dataclass
@@ -58,8 +61,7 @@ class SceneParams:
             raise ValueError("distance_m must be in [0.25, 10]")
         if not (1.0 <= self.illuminance_lux <= 2000.0):
             raise ValueError("illuminance_lux must be in [1, 2000]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_noise(self.noise_sigma, self.seed)
         if self.facing_camera and not self.person_present:
             raise ValueError("facing_camera implies person_present")
         if self.figure not in FIGURES:

@@ -10,11 +10,14 @@ sets through the standard decode table.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .scene import Frame, _contrast
+from . import check_noise
+from .scene import MIN_FRAME_PX, Frame, _contrast
 
 # digit capacity of the text reader's two 32-bit BCD words
 MAX_WHOLE_DIGITS = 7
@@ -79,9 +82,10 @@ class Reading:
     frac_digits: str
 
     def __post_init__(self) -> None:
-        if not self.whole_digits or not self.whole_digits.isdigit():
+        # only the digits 0-9 have segments ("²".isdigit() is true)
+        if not self.whole_digits or not set(self.whole_digits) <= SEGMENT_TABLE.keys():
             raise ValueError("whole_digits must be a non-empty decimal string")
-        if self.frac_digits and not self.frac_digits.isdigit():
+        if not set(self.frac_digits) <= SEGMENT_TABLE.keys():
             raise ValueError("frac_digits must be a decimal string")
 
     def __str__(self) -> str:
@@ -101,6 +105,11 @@ class DisplayLayout:
     def __post_init__(self) -> None:
         if self.rotation not in (0, 90, 180, 270):
             raise ValueError("rotation must be one of 0, 90, 180, 270")
+        for name in ("x", "y", "frame_width", "frame_height"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if min(self.x, self.y) < 0:
+            raise ValueError("x and y must be >= 0")
 
 
 @dataclass
@@ -110,6 +119,11 @@ class DisplayParams:
     illuminance_lux: float = 500.0
     noise_sigma: float = 2.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.illuminance_lux, numbers.Real):
+            raise TypeError(f"illuminance_lux must be a number, not {self.illuminance_lux!r}")
+        check_noise(self.noise_sigma, self.seed)
 
 
 def segment_lookup(segments: set[str] | frozenset[str]) -> str | None:
@@ -144,29 +158,52 @@ def _render_patch(r: Reading, on: float) -> np.ndarray:
     return patch
 
 
+def check_display(r: Reading, layout: DisplayLayout) -> None:
+    """Raise what ``render_display(r, layout, ...)`` would raise: the reading
+    must fit the text reader's registers and, drawn at ``layout``, its frame."""
+    if len(r.whole_digits) > MAX_WHOLE_DIGITS:
+        raise LayoutOverflow(f"{len(r.whole_digits)} whole digits > {MAX_WHOLE_DIGITS}")
+    if len(r.frac_digits) > MAX_FRAC_DIGITS:
+        raise LayoutOverflow(f"{len(r.frac_digits)} fractional digits > {MAX_FRAC_DIGITS}")
+    ph, pw = CELL_H, MARKER_W + GAP + len(_glyph_cells(r)) * PITCH  # _render_patch's shape
+    if layout.rotation in (90, 270):
+        ph, pw = pw, ph
+    if layout.y + ph > layout.frame_height or layout.x + pw > layout.frame_width:
+        raise LayoutOverflow("rendered display exceeds frame bounds")
+    if min(layout.frame_width, layout.frame_height) < MIN_FRAME_PX:
+        raise ValueError(f"frame dimensions must be >= {MIN_FRAME_PX}")  # as Frame checks
+
+
 def render_display(
     r: Reading, layout: DisplayLayout | None = None, p: DisplayParams | None = None
 ) -> Frame:
     """Deterministic seven-segment rendering of a reading."""
     layout = layout or DisplayLayout()
     p = p or DisplayParams()
-    if len(r.whole_digits) > MAX_WHOLE_DIGITS:
-        raise LayoutOverflow(f"{len(r.whole_digits)} whole digits > {MAX_WHOLE_DIGITS}")
-    if len(r.frac_digits) > MAX_FRAC_DIGITS:
-        raise LayoutOverflow(f"{len(r.frac_digits)} fractional digits > {MAX_FRAC_DIGITS}")
+    check_display(r, layout)
     on = 20.0 + 235.0 * _contrast(p.illuminance_lux)
-    patch = _render_patch(r, on)
-    patch = np.rot90(patch, layout.rotation // 90)
+    patch = np.rot90(_render_patch(r, on), layout.rotation // 90)
     img = np.full((layout.frame_height, layout.frame_width), 20.0)
     ph, pw = patch.shape
-    if layout.y + ph > layout.frame_height or layout.x + pw > layout.frame_width:
-        raise LayoutOverflow("rendered display exceeds frame bounds")
     region = img[layout.y : layout.y + ph, layout.x : layout.x + pw]
     img[layout.y : layout.y + ph, layout.x : layout.x + pw] = np.maximum(region, patch)
     rng = np.random.default_rng(p.seed)
     if p.noise_sigma > 0:
         img = img + rng.normal(0.0, p.noise_sigma, img.shape)
     return Frame(np.clip(img, 0, 255).astype(np.uint8))
+
+
+class DisplayFrame(Frame):
+    """The frame ``render_display(reading, layout, params)``, checked when
+    made, rendered on the first read of its pixels and then kept."""
+
+    def __init__(self, reading: Reading, layout: DisplayLayout, params: DisplayParams) -> None:
+        check_display(reading, layout)
+        self._args = (reading, layout, params)
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        return render_display(*self._args).pixels
 
 
 def _decode_upright(lit: np.ndarray) -> Reading | None:

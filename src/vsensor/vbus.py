@@ -30,6 +30,8 @@ HIGH = LogicLevel.HIGH
 
 I2C_ADDRESS_MIN = 0x08
 I2C_ADDRESS_MAX = 0x77
+# a SERIAL exposure record's detail per address, one shared string each
+_ADDRESS_DETAIL = tuple(f"0x{a:02x}" for a in range(I2C_ADDRESS_MAX + 1))
 
 
 class Direction(Enum):
@@ -329,7 +331,7 @@ class Bus:
             status, bits = Status.ACK, 8 * n_or_bytes
         if bits:
             self.exposure_log.append(
-                ExposureRecord(self.clock, "SERIAL", f"0x{address:02x}", bits)
+                ExposureRecord(self.clock, "SERIAL", _ADDRESS_DETAIL[address], bits)
             )
         txn = I2CTransaction(self.clock, address, direction, status, payload)
         self.i2c_log.append(txn)

@@ -44,6 +44,16 @@ class TestSignatures:
         cos = word_signature("often") @ word_signature("off")
         assert cos == pytest.approx(0.88, abs=1e-9)
 
+    def test_computed_once_and_read_only(self):
+        # the one shared copy cannot be changed by a caller
+        sig = word_signature("often")
+        assert word_signature("often") is sig and not sig.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sig[0] = 0.0
+        # bit-identical to a signature computed afresh
+        for word in ("often", "stop"):
+            assert np.array_equal(word_signature.__wrapped__(word), word_signature(word))
+
 
 class TestSynthAudio:
     def test_deterministic(self):

@@ -86,6 +86,12 @@ def _grid(**extra):
             "trials_per_cell": 10, **extra}
 
 
+def _unread(kind, **stimulus):
+    """One device fed ``stimulus`` after its 200 ms run ends, so that no step
+    reads it: a fault in it is found only if it is checked when fed."""
+    return _one_device(kind, stimuli=[{**stimulus, "at": 1000}])
+
+
 SCENE = {"modality": "scene", "params": {"person_present": True, "distance_m": 50}}
 GATED = {"combinator": "gated_event", "line_id": "g", "event": "d.TAP", "gate": "d.TAP"}
 
@@ -265,6 +271,65 @@ MALFORMED = [
      _one_device("TEXT_READER", stimuli=[{"modality": "display", "reading": "1.5",
                                           "layout": {"frame_width": 10}}]),
      "devices[0].stimuli[0]: LayoutOverflow: rendered display exceeds frame bounds"),
+    # every stimulus is synthesized only when read, so each synthesis error is
+    # found by the check its deferred stimulus runs when fed
+    ("audio_duration_negative", "simulate",
+     _unread("VOICE_PIN", modality="audio", duration_ms=-100),
+     "devices[0].stimuli[0]: ValueError: duration_ms must be an integer >= 0, not -100"),
+    ("audio_duration_fractional", "simulate",
+     _unread("VOICE_PIN", modality="audio", duration_ms=500.5),
+     "devices[0].stimuli[0]: ValueError: duration_ms must be an integer >= 0, not 500.5"),
+    ("audio_word_unknown", "simulate", _unread("VOICE_PIN", modality="audio", script=[["xyz", 0]]),
+     "devices[0].stimuli[0]: ValueError: script word 'xyz' not in vocabulary or distractors"),
+    ("audio_script_time_string", "simulate",
+     _unread("VOICE_PIN", modality="audio", script=[["on", "100"]]),
+     "devices[0].stimuli[0]: ValueError: script time '100' must be an integer >= 0"),
+    ("audio_script_time_fractional", "simulate",
+     _unread("VOICE_PIN", modality="audio", script=[["on", 100.5]], duration_ms=1000),
+     "devices[0].stimuli[0]: ValueError: script time 100.5 must be an integer >= 0"),
+    ("audio_script_time_negative", "simulate",
+     _unread("VOICE_PIN", modality="audio", script=[["on", -100]], duration_ms=1000),
+     "devices[0].stimuli[0]: ValueError: script time -100 must be an integer >= 0"),
+    ("audio_noise_negative", "simulate", _unread("VOICE_PIN", modality="audio", noise_sigma=-1),
+     "devices[0].stimuli[0]: ValueError: noise_sigma must be >= 0"),
+    ("audio_seed_negative", "simulate", _unread("VOICE_PIN", modality="audio", seed=-1),
+     "devices[0].stimuli[0]: ValueError: seed must be an integer >= 0, not -1"),
+    ("imu_tap_outside_window", "simulate", _unread("TAP", modality="imu", taps=[1000]),
+     "devices[0].stimuli[0]: ValueError: tap_times must lie within the window"),
+    ("imu_tap_fractional", "simulate", _unread("TAP", modality="imu", taps=[100.5]),
+     "devices[0].stimuli[0]: ValueError: tap_times must be integers, not [100.5]"),
+    ("imu_duration_zero", "simulate", _unread("TAP", modality="imu", duration_ms=0),
+     "devices[0].stimuli[0]: ValueError: duration_ms must be an integer >= 10, not 0"),
+    ("imu_noise_negative", "simulate", _unread("TAP", modality="imu", noise_sigma=-1),
+     "devices[0].stimuli[0]: ValueError: noise_sigma must be >= 0"),
+    ("imu_seed_negative", "simulate", _unread("TAP", modality="imu", seed=-1),
+     "devices[0].stimuli[0]: ValueError: seed must be an integer >= 0, not -1"),
+    ("scene_noise_negative", "simulate",
+     _unread("PERSON", modality="scene", params={"noise_sigma": -1}),
+     "devices[0].stimuli[0]: ValueError: noise_sigma must be >= 0"),
+    ("display_frame_15px", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1",
+             layout={"x": 0, "y": 0, "frame_width": 15, "frame_height": 15}),
+     "devices[0].stimuli[0]: ValueError: frame dimensions must be >= 16"),
+    ("display_x_negative", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1.5", layout={"x": -50}),
+     "devices[0].stimuli[0]: ValueError: x and y must be >= 0"),
+    ("display_y_negative", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1.5", layout={"y": -5}),
+     "devices[0].stimuli[0]: ValueError: x and y must be >= 0"),
+    ("display_x_fractional", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1.5", layout={"x": 8.5}),
+     "devices[0].stimuli[0]: TypeError: x must be an integer, not 8.5"),
+    ("display_lux_string", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1.5",
+             params={"illuminance_lux": "bright"}),
+     "devices[0].stimuli[0]: TypeError: illuminance_lux must be a number, not 'bright'"),
+    ("display_noise_negative", "simulate",
+     _unread("TEXT_READER", modality="display", reading="1.5", params={"noise_sigma": -1}),
+     "devices[0].stimuli[0]: ValueError: noise_sigma must be >= 0"),
+    ("display_digit_without_segments", "simulate",
+     _unread("TEXT_READER", modality="display", reading="\u00b2.5"),
+     "devices[0].stimuli[0]: ValueError: whole_digits must be a non-empty decimal string"),
     # bytes are written as they are; every other doc as canonical JSON
     ("simulate_not_utf8", "simulate", b"\xff\xfe{\x00}\x00", "cannot read doc.json: 'utf-8'"),
     ("conformance_not_utf8", "conformance", b"\xff\xfe{\x00}\x00",

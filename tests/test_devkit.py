@@ -1,6 +1,10 @@
+import gc
 import pickle
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsensor.devkit import (
     DeviceError,
@@ -163,6 +167,43 @@ class TestStimulusQueue:
         dev.feed_stimulus("k", 25)
         assert dev._pop_stimuli(30) == [(25, "k"), (30, "a"), (30, "e"), (30, "j")]
         assert dev._pop_stimuli(10**9) == [(40, "h")]
+
+    # each op feeds a stimulus at a time or pops up to a time; the reference
+    # queue is a list sorted by time, FIFO among equal times, whose consumed
+    # prefix is deleted at every pop
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 40)), max_size=60))
+    def test_queue_matches_a_sorted_list(self, ops):
+        class Parked(_StubDevice):
+            def _idle(self):
+                return True  # so _next_due gives the queue's first time
+
+        dev, reference = Parked(), []
+        for k, (feed, t) in enumerate(ops):
+            if feed:
+                dev.feed_stimulus(k, t)
+                reference.append((t, k))
+                reference.sort(key=lambda e: e[0])
+            else:
+                due = [e for e in reference if e[0] <= t]
+                reference = reference[len(due):]
+                assert dev._pop_stimuli(t) == due
+            assert dev._next_due() == (reference[0][0] if reference else None)
+        assert dev._pop_stimuli(10**9) == reference
+
+    def test_a_consumed_stimulus_is_not_kept(self):
+        class Stimulus:
+            pass
+
+        dev = _StubDevice()
+        stimuli = [Stimulus() for _ in range(8)]
+        for k, stimulus in enumerate(stimuli):
+            dev.feed_stimulus(stimulus, k)
+        refs = [weakref.ref(x) for x in stimuli]
+        del stimulus, stimuli
+        dev._pop_stimuli(0)  # one of eight: the queue keeps its slot
+        gc.collect()
+        assert [r() is None for r in refs] == [True] + [False] * 7
 
 
 class TestAudit:

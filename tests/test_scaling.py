@@ -87,6 +87,24 @@ def test_feed_stimulus_is_linear():
     assert len(device._pop_stimuli(10 * N)) == N
 
 
+def test_stimulus_queue_pops_in_linear_time():
+    # 320,000 stimuli popped one step at a time: deleting the consumed prefix
+    # on each pop, which moves every entry left, takes over 10 s here
+    n = 16 * N
+    device = tap_sensor()
+    window = synth_imu([], 100, 0.0, 0)
+    popped = []
+
+    def feed_then_pop():
+        for k in range(n):
+            device.feed_stimulus(window, 10 * k)
+        for k in range(n):
+            popped.extend(device._pop_stimuli(10 * k))
+
+    assert _elapsed(feed_then_pop) < BOUND_S
+    assert [at for at, _ in popped] == list(range(0, 10 * n, 10))
+
+
 def test_level_at_is_logarithmic():
     trace = _toggling_trace("x", N, 0)
     answers = []
