@@ -58,7 +58,7 @@ def _word_vector(word: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: 1 and True are one key, but seed apart
+@lru_cache(maxsize=256, typed=True)  # typed: 1 and True hash alike but seed apart
 def word_signature(word: str) -> np.ndarray:
     """Deterministic unit-norm feature signature for a word, computed once
     per word and shared, so it is read-only."""

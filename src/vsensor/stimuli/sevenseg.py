@@ -140,12 +140,15 @@ def _glyph_cells(r: Reading) -> list[frozenset[str]]:
     return cells
 
 
+def _patch_shape(n_cells: int) -> tuple[int, int]:
+    return CELL_H, MARKER_W + GAP + n_cells * PITCH
+
+
 def _render_patch(r: Reading, on: float) -> np.ndarray:
     """Marker + cells + dot on a zero background."""
     cells = _glyph_cells(r)
     dot_after = (1 if r.negative else 0) + len(r.whole_digits) - 1
-    width = MARKER_W + GAP + len(cells) * PITCH
-    patch = np.zeros((CELL_H, width))
+    patch = np.zeros(_patch_shape(len(cells)))
     patch[:, :MARKER_W] = on
     for i, segs in enumerate(cells):
         x0 = MARKER_W + GAP + i * PITCH
@@ -165,7 +168,7 @@ def check_display(r: Reading, layout: DisplayLayout) -> None:
         raise LayoutOverflow(f"{len(r.whole_digits)} whole digits > {MAX_WHOLE_DIGITS}")
     if len(r.frac_digits) > MAX_FRAC_DIGITS:
         raise LayoutOverflow(f"{len(r.frac_digits)} fractional digits > {MAX_FRAC_DIGITS}")
-    ph, pw = CELL_H, MARKER_W + GAP + len(_glyph_cells(r)) * PITCH  # _render_patch's shape
+    ph, pw = _patch_shape(len(_glyph_cells(r)))
     if layout.rotation in (90, 270):
         ph, pw = pw, ph
     if layout.y + ph > layout.frame_height or layout.x + pw > layout.frame_width:
