@@ -3,20 +3,19 @@
 Every combinator is a pure transform from source PinTraces to a derived
 PinTrace, usable both offline on recorded traces and online as a Bus
 virtual line (the online form recomputes from the live traces, so the
-two modes agree by construction).  Each builds its output transition list
-in one pass, in time linear in the input transitions, and hands it to the
-PinTrace constructor; none drives its output edge by edge.  Tie-break
-rules are fixed: the gated-event window boundary is inclusive, and the
-latch reset wins ties.
+two modes agree by construction).  A trace is its initial level and its
+edge times (``transitions`` is a view of them), so each combinator builds
+its output edge times in one pass, in time linear in the input edges; none
+drives its output edge by edge.  Tie-break rules are fixed: the gated-event
+window boundary is inclusive, and the latch reset wins ties.
 """
 
 from __future__ import annotations
 
-from .vbus import HIGH, LOW, LogicLevel, PinTrace, high_spans, trace_from_spans
+from .vbus import HIGH, LOW, LogicLevel, PinTrace, _from_times, high_spans, trace_from_spans
 
 DEFAULT_GAZE_WINDOW_MS = 500
 
-_COMPLEMENT = (HIGH, LOW)  # indexed by level
 _NEVER = float("inf")
 
 
@@ -26,13 +25,12 @@ def _settle(line_id: str, initial: LogicLevel, drives) -> PinTrace:
     The first drive of each run of equal levels is a transition, unless it
     repeats the level already in force (as ``PinTrace.append`` would skip).
     """
-    transitions = []
-    level = initial
+    times, level = [], initial
     for t, lvl in drives:
         if lvl != level:
-            transitions.append((t, lvl))
+            times.append(t)
             level = lvl
-    return PinTrace(line_id, initial, transitions)
+    return _from_times(line_id, initial, times)
 
 
 def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
@@ -52,22 +50,18 @@ def gated_event(event: PinTrace, gate: PinTrace, window_ms: int) -> PinTrace:
     spans = iter(high_spans(gate) + [(_NEVER, _NEVER)])
     s, e = next(spans)
     s = -_NEVER if s is None else s
-    transitions = []
+    times = []
     for t in event.rising_edges():
         while e is not None and (e <= t - window_ms or e <= 0):
             s, e = next(spans)
         if s <= t:
-            transitions += ((t, HIGH), (t + 1, LOW))
-    return PinTrace(f"gated({event.line_id})", LOW, transitions)
+            times += (t, t + 1)
+    return _from_times(f"gated({event.line_id})", LOW, times)
 
 
 def invert(line: PinTrace) -> PinTrace:
-    """Logical complement of a trace."""
-    return PinTrace(
-        f"not({line.line_id})",
-        _COMPLEMENT[line.initial_level],
-        [(t, _COMPLEMENT[lvl]) for t, lvl in line.transitions],
-    )
+    """Logical complement of a trace: the same edges from the other level."""
+    return _from_times(f"not({line.line_id})", 1 - line.initial_level, line.times.copy())
 
 
 def debounce(line: PinTrace, hold_ms: int) -> PinTrace:
@@ -76,11 +70,8 @@ def debounce(line: PinTrace, hold_ms: int) -> PinTrace:
         raise ValueError("hold_ms must be >= 0")
     # a level reaches the output hold_ms after it is driven, unless the
     # input changes again within hold_ms
-    tr = line.transitions
-    drives = [(t + hold_ms, lvl) for (t, lvl), (t_next, _) in zip(tr, tr[1:])
-              if t_next - t >= hold_ms]
-    if tr:
-        drives.append((tr[-1][0] + hold_ms, tr[-1][1]))
+    drives = ((t + hold_ms, lvl) for (t, lvl), t_next
+              in zip(line.transitions, line.times[1:] + [_NEVER]) if t_next - t >= hold_ms)
     return _settle(f"debounce({line.line_id})", line.initial_level, drives)
 
 
@@ -98,8 +89,7 @@ def sr_latch(set_line: PinTrace, reset_line: PinTrace) -> PinTrace:
     """HIGH after a set rising edge until a reset rising edge; reset wins ties."""
     want = dict.fromkeys(set_line.rising_edges(), HIGH)
     want.update(dict.fromkeys(reset_line.rising_edges(), LOW))  # reset wins ties
-    return _settle(f"latch({set_line.line_id},{reset_line.line_id})", LOW,
-                   sorted(want.items()))
+    return _settle(f"latch({set_line.line_id},{reset_line.line_id})", LOW, sorted(want.items()))
 
 
 def gaze_voice(

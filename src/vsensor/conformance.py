@@ -161,14 +161,14 @@ def _run_trial(
     # stop there, since that assertion fixes the outcome
     trace = bus.lines["out"]
     t = 0
-    while t < window and not trace.transitions:
+    while t < window and not trace.times:
         frame_seed = int(rng.integers(0, 2**63))
         device.feed_stimulus(SceneFrame(replace(scene, seed=frame_seed)), t)
         bus.advance(frame_period)
         t += frame_period
-    if not trace.transitions:
+    if not trace.times:
         return False, None
-    latency = trace.transitions[0][0]
+    latency = trace.times[0]
     if positive and latency > protocol.latency_budget_ms:
         return False, latency
     return True, latency

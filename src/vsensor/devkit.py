@@ -15,8 +15,9 @@ import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
-from .vbus import EXPOSURE_COLUMNS, Bus, ExposureRecord, LogicLevel, LOW, _time_of
+from .vbus import EXPOSURE_COLUMNS, Bus, ExposureRecord, LogicLevel, LOW
 
 BLOB_MAGIC = b"MLSP"
 BLOB_VERSION = 1
@@ -191,7 +192,7 @@ class SensorDevice:
                 "MODALITY_MISMATCH",
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
-        bisect.insort_right(self._stimuli, (at, stimulus), lo=self._head, key=_time_of)
+        bisect.insort_right(self._stimuli, (at, stimulus), lo=self._head, key=itemgetter(0))
         if self._wake is not None:
             self._wake(at)
 
@@ -212,7 +213,7 @@ class SensorDevice:
         O(1) a stimulus: the consumed slots are dropped once they are at least
         half the list, and until then hold None, so no stimulus outlives its use."""
         queue, head = self._stimuli, self._head
-        cut = bisect.bisect_right(queue, t, lo=head, key=_time_of)
+        cut = bisect.bisect_right(queue, t, lo=head, key=itemgetter(0))
         due = queue[head:cut]
         queue[head:cut] = [None] * (cut - head)
         if 2 * cut >= len(queue):

@@ -12,12 +12,10 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from operator import itemgetter
-from typing import Callable, NamedTuple
-
-_time_of = itemgetter(0)
+from typing import NamedTuple
 
 
 class LogicLevel(IntEnum):
@@ -27,6 +25,7 @@ class LogicLevel(IntEnum):
 
 LOW = LogicLevel.LOW
 HIGH = LogicLevel.HIGH
+_LEVELS = (LOW, HIGH)  # indexed by level
 
 I2C_ADDRESS_MIN = 0x08
 I2C_ADDRESS_MAX = 0x77
@@ -48,7 +47,7 @@ class BusError(Exception):
     """Raised on misuse of the bus (unknown line, time travel, bad dt)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HighInterval:
     """Half-open interval [start, end) during which a line was HIGH."""
 
@@ -87,34 +86,65 @@ I2C_COLUMNS = tuple("payload_hex" if f == "payload" else f for f in I2CTransacti
 EXPOSURE_COLUMNS = ExposureRecord._fields
 
 
-@dataclass
-class PinTrace:
-    """Time-ordered logic-level transitions on one named line.
+class Transitions(Sequence):
+    """A trace's edges as read-only ``(time, level)`` pairs, derived from its
+    times: O(1) length, truth and indexing, and equal to the list it yields."""
 
-    Transitions are strictly increasing in time and alternate levels;
-    the level before the first transition is ``initial_level``.  ``append``
-    is the one checked way to add a transition.  A transition list passed
-    to the constructor is taken as it is, so it must already hold this
-    invariant, with the first level differing from ``initial_level`` and
-    every level a ``LogicLevel``.
+    __slots__ = ("_times", "_levels")
+
+    def __init__(self, times: list[int], initial_level: LogicLevel) -> None:
+        # edge k leaves the initial level flipped k + 1 times
+        self._times, self._levels = times, (_LEVELS[1 - initial_level], _LEVELS[initial_level])
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self._times)))]
+        return self._times[k], self._levels[(k % len(self._times)) & 1]
+
+    def __iter__(self):
+        return zip(self._times, itertools.cycle(self._levels))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Transitions) else other)
+
+
+@dataclass(init=False)
+class PinTrace:
+    """One named line: its ``initial_level`` and the strictly increasing
+    ``times`` of its edges, so levels alternate by construction.  ``append``
+    is the one checked way to add an edge; ``transitions`` views the edges as
+    ``(time, level)`` pairs.  The constructor raises ValueError for
+    ``transitions`` that are not strictly increasing or repeat a level.
     """
 
     line_id: str
-    initial_level: LogicLevel = LOW
-    transitions: list[tuple[int, LogicLevel]] = field(default_factory=list)
+    initial_level: LogicLevel
+    times: list[int]
+
+    def __init__(self, line_id: str, initial_level: LogicLevel = LOW, transitions=()) -> None:
+        self.line_id, self.initial_level, self.times = line_id, LogicLevel(initial_level), []
+        for t, level in transitions:
+            if self.times and t <= self.times[-1]:
+                raise ValueError(f"{line_id!r}: transition at t={t} is not after the one before it")
+            if not self.append(t, level):
+                raise ValueError(f"{line_id!r}: transition at t={t} does not change the level")
+
+    @property
+    def transitions(self) -> Transitions:
+        return Transitions(self.times, self.initial_level)
 
     def level_at(self, t: int) -> LogicLevel:
         """Level in force at time t (last transition at or before t)."""
-        i = bisect.bisect_right(self.transitions, t, key=_time_of)
-        if i == 0:
-            return self.initial_level
-        return self.transitions[i - 1][1]
+        return _LEVELS[self.initial_level ^ (bisect.bisect_right(self.times, t) & 1)]
 
     def last_time(self) -> int:
-        return self.transitions[-1][0] if self.transitions else -1
+        return self.times[-1] if self.times else -1
 
     def current_level(self) -> LogicLevel:
-        return self.transitions[-1][1] if self.transitions else self.initial_level
+        return _LEVELS[self.initial_level ^ (len(self.times) & 1)]
 
     def append(self, t: int, level: LogicLevel) -> bool:
         """Record the line being driven to ``level`` at time ``t``.
@@ -123,35 +153,36 @@ class PinTrace:
         an idempotent no-op.  Raises BusError when t precedes the last
         recorded transition.
         """
-        level = LogicLevel(level)
-        if level == self.current_level():
+        if LogicLevel(level) == self.current_level():
             return False
-        if self.transitions and t <= self.transitions[-1][0]:
+        if self.times and t <= self.times[-1]:
             raise BusError(
                 f"time travel: drive on {self.line_id!r} at t={t} not after "
-                f"last transition t={self.transitions[-1][0]}"
+                f"last transition t={self.times[-1]}"
             )
-        self.transitions.append((t, level))
+        self.times.append(t)
         return True
 
     def rising_edges(self) -> list[int]:
-        # levels alternate, so the HIGHs are every other transition, from
-        # the first one when the line starts LOW and the second when HIGH
-        return [t for t, _ in self.transitions[int(self.initial_level)::2]]
+        # levels alternate: the HIGHs are every other edge, from edge initial_level
+        return self.times[self.initial_level::2]
+
+
+def _from_times(line_id: str, initial_level: LogicLevel, times: list[int]) -> PinTrace:
+    """The trace of ``times``, which the caller builds strictly increasing."""
+    trace = PinTrace(line_id, initial_level)
+    trace.times = times
+    return trace
 
 
 def high_spans(trace: PinTrace) -> list[tuple[int | None, int | None]]:
     """Half-open [s, e) HIGH spans, the package's one HIGH-span format.
 
     ``s`` is None for the span a HIGH initial level opens, ``e`` None for a
-    span still open at the end.  Levels alternate, so a HIGH opens a span
-    and a LOW closes it.  ``trace_from_spans`` is the inverse.
+    span still open at the end: levels alternate, so the edge, or else the
+    end (None), after a HIGH closes its span.  ``trace_from_spans`` is the inverse.
     """
-    bounds: list[int | None] = [t for t, _ in trace.transitions]
-    if trace.initial_level == HIGH:
-        bounds.insert(0, None)
-    if len(bounds) % 2:
-        bounds.append(None)
+    bounds = [None] * trace.initial_level + trace.times + [None]
     return list(zip(bounds[::2], bounds[1::2]))
 
 
@@ -170,9 +201,7 @@ def trace_from_spans(line_id: str, spans: list[tuple[int | None, int | None]]) -
         elif end is not None and (e is None or e > end):
             bounds[-1] = end = e
     initial = HIGH if bounds and bounds[0] is None else LOW
-    levels = itertools.cycle((LOW, HIGH) if initial == HIGH else (HIGH, LOW))
-    times = [t for t in bounds if t is not None]
-    return PinTrace(line_id, initial, list(zip(times, levels)))
+    return _from_times(line_id, initial, [t for t in bounds if t is not None])
 
 
 def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInterval]:
@@ -353,12 +382,13 @@ class Bus:
         """The line computed over the live traces, cut at the clock: an edge
         the computation dates later (a debounce hold still running) is not
         shown until the clock reaches it, and is gone if the input changes
-        first."""
+        first.  Each call recomputes the line from its inputs' whole traces, in
+        O(edges) time, so polling it at every tick costs O(ticks × edges)."""
         if line_id not in self.virtual_lines:
             raise BusError(f"unknown virtual line {line_id!r}")
         trace = self.virtual_lines[line_id](self)
-        seen = bisect.bisect_right(trace.transitions, self.clock, key=_time_of)
-        return PinTrace(line_id, trace.initial_level, trace.transitions[:seen])
+        seen = bisect.bisect_right(trace.times, self.clock)
+        return _from_times(line_id, trace.initial_level, trace.times[:seen])
 
     def trace(self, line_id: str) -> PinTrace:
         """Real or virtual trace by line id."""
@@ -375,9 +405,8 @@ class Bus:
 
     def trace_csv(self) -> str:
         """CSV of TRACE_COLUMNS, sorted by (time, line)."""
-        rows = [(t, lid, int(lvl)) for lid, trace in self.traces().items()
-                for t, lvl in trace.transitions]
-        rows.sort()
+        rows = sorted((t, lid, int(lvl)) for lid, trace in self.traces().items()
+                      for t, lvl in trace.transitions)
         return _csv(TRACE_COLUMNS, [f"{t},{lid},{lvl}" for t, lid, lvl in rows])
 
     def exposure_csv(self) -> str:

@@ -113,6 +113,20 @@ def test_level_at_is_logarithmic():
     assert answers[:8] == [HIGH] * 7 + [LOW]
 
 
+def test_transitions_view_reads_in_constant_time():
+    # a trace stores its edge times; a view that built its (time, level)
+    # list on each read would make these N reads of an N-edge trace quadratic
+    trace = _toggling_trace("x", N, 0)
+    reads = []
+
+    def read():
+        for _ in range(N):
+            reads.append((len(trace.transitions), trace.transitions[-1], trace.current_level()))
+
+    assert _elapsed(read) < BOUND_S
+    assert reads[-1] == (N, (7 * (N - 1), LOW), LOW)
+
+
 def test_long_advance_is_linear():
     bus = Bus()
     bus.add_line("x")

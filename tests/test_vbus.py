@@ -20,7 +20,9 @@ from vsensor.vbus import (
     BusError,
     Direction,
     ExposureRecord,
+    HighInterval,
     I2CTransaction,
+    LogicLevel,
     PinTrace,
     Status,
     high_intervals,
@@ -69,6 +71,31 @@ class TestPinTrace:
         assert tr.rising_edges() == [5, 20]
         assert [t for t, lvl in tr.transitions if lvl == LOW] == [10]
 
+    def test_constructor_rejects_times_not_strictly_increasing(self):
+        with pytest.raises(ValueError, match="t=5 is not after"):
+            PinTrace("x", LOW, [(5, HIGH), (5, LOW)])
+        with pytest.raises(ValueError, match="t=3 is not after"):
+            PinTrace("x", LOW, [(5, HIGH), (3, LOW)])
+
+    def test_constructor_rejects_a_first_level_equal_to_the_initial_one(self):
+        with pytest.raises(ValueError, match="t=5 does not change the level"):
+            PinTrace("x", HIGH, [(5, HIGH)])
+
+    def test_constructor_rejects_levels_that_do_not_alternate(self):
+        with pytest.raises(ValueError, match="t=9 does not change the level"):
+            PinTrace("x", LOW, [(5, HIGH), (7, LOW), (9, LOW)])
+        with pytest.raises(ValueError, match="is not a valid LogicLevel"):
+            PinTrace("x", LOW, [(5, 2)])
+
+    def test_transitions_is_a_read_only_view_of_the_times(self):
+        tr = PinTrace("x", HIGH, [(3, LOW), (8, HIGH)])
+        assert tr.times == [3, 8]
+        with pytest.raises(TypeError):
+            tr.transitions[0] = (4, LOW)
+        with pytest.raises(AttributeError):
+            tr.transitions = []
+        assert tr.transitions != [(3, LOW)] and tr.transitions != ((3, LOW), (8, HIGH))
+
 
 class TestHighIntervals:
     def test_closed_intervals(self):
@@ -83,6 +110,8 @@ class TestHighIntervals:
             (20, 25, False),
         ]
         assert ivs[0].length == 5
+        assert ivs[0] == HighInterval(5, 10) and ivs[0] != HighInterval(5, 10, True)
+        assert not hasattr(ivs[0], "__dict__")  # slotted: a long trace keeps many
 
     def test_open_ended_interval(self):
         tr = PinTrace("x")
@@ -103,6 +132,60 @@ def _traces(draw):
     for t in sorted(draw(st.sets(st.integers(0, 60), max_size=12))):
         trace.append(t, LOW if trace.current_level() == HIGH else HIGH)
     return trace
+
+
+def _alternating(initial, times):
+    """The (time, level) pairs of edges at ``times`` from ``initial``, as a plain list."""
+    pairs, level = [], initial
+    for t in sorted(times):
+        level = HIGH if level == LOW else LOW
+        pairs.append((t, level))
+    return pairs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([LOW, HIGH]), st.sets(st.integers(0, 60), max_size=12), st.data())
+@example(LOW, set(), None)
+@example(HIGH, {0}, None)
+def test_transitions_view_matches_a_list_of_pairs(initial, times, data):
+    pairs = _alternating(initial, times)
+    trace = PinTrace("x", initial, pairs)
+    view = trace.transitions
+    assert len(view) == len(pairs) and bool(view) == bool(pairs)
+    assert view == pairs and pairs == view and list(view) == pairs
+    assert view == PinTrace("y", initial, pairs).transitions
+    assert list(reversed(view)) == pairs[::-1]
+    for k in range(-len(pairs), len(pairs)):
+        assert view[k] == pairs[k] and type(view[k][1]) is LogicLevel
+    for k in (len(pairs), -len(pairs) - 1):
+        with pytest.raises(IndexError):
+            view[k]
+    cuts = [slice(1, None), slice(None, -1), slice(None, None, -1), slice(-3, None, 2)]
+    if data is not None:
+        cuts.append(data.draw(st.slices(len(pairs))))
+    for cut in cuts:
+        assert view[cut] == pairs[cut]
+
+    last = pairs[-1][0] if pairs else 0
+    for t in range(-1, last + 2):
+        assert trace.level_at(t) == ([initial] + [lvl for at, lvl in pairs if at <= t])[-1], t
+    assert trace.current_level() == (pairs[-1][1] if pairs else initial)
+    assert trace.last_time() == (pairs[-1][0] if pairs else -1)
+    assert trace.rising_edges() == [t for t, lvl in pairs if lvl == HIGH]
+
+    level = trace.current_level()
+    assert trace.append(last + 5, level) is False  # no-op: the level is in force
+    assert view == pairs
+    other = HIGH if level == LOW else LOW
+    if pairs:
+        with pytest.raises(BusError, match="time travel"):
+            trace.append(last, other)
+        assert view == pairs
+    assert trace.append(last + 5, other) is True
+    assert view == pairs + [(last + 5, other)]  # the view reads the live times
+
+    back = trace_from_spans("y", high_spans(trace))
+    assert (back.initial_level, back.transitions) == (initial, trace.transitions)
 
 
 class TestHighSpans:
