@@ -208,12 +208,13 @@ def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInte
     """``high_spans`` as intervals.  An initial HIGH starts at 0; a span still
     open at the end closes at ``run_end`` (default: the last transition time)
     and is flagged open-ended."""
+    times, lead = trace.times, trace.initial_level
     end = trace.last_time() if run_end is None else run_end
-    out = []
-    for s, e in high_spans(trace):
-        s = 0 if s is None else s
-        if e is not None or end >= s:
-            out.append(HighInterval(s, e) if e is not None else HighInterval(s, end, True))
+    out = [HighInterval(0, times[0])] if lead and times else []
+    out += map(HighInterval, times[lead::2], times[lead + 1::2])
+    start = times[-1] if times else 0
+    if trace.current_level() and end >= start:
+        out.append(HighInterval(start, end, True))
     return out
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_vbus import _traces
+from test_vbus import _alternating, _traces
 
 from vsensor.compose import (
     debounce,
@@ -34,6 +34,17 @@ def assert_well_formed(tr):
     assert all(isinstance(lvl, LogicLevel) for _, lvl in tr.transitions)
     rebuilt = PinTrace(tr.line_id, tr.initial_level)
     assert all(rebuilt.append(t, lvl) for t, lvl in tr.transitions)
+
+
+@st.composite
+def _pairs(draw):
+    """Two ``_traces()``; the second often takes edge times of the first as
+    its own, so that rising edges of the two tie."""
+    a, b = draw(_traces()), draw(_traces())
+    times = set(b.times)
+    if a.times:
+        times |= draw(st.sets(st.sampled_from(a.times)))
+    return a, PinTrace("b", b.initial_level, _alternating(b.initial_level, times))
 
 
 def rand_trace(rng, lid, dur=1500, rate=0.01):
@@ -160,6 +171,13 @@ class TestBruteForceOracles:
             out.append(lvl)
         return out
 
+    def oracle_stretch(self, line, ms):
+        """Each rising edge r holds the output HIGH over [r, r + ms)."""
+        out = dense(line, self.DUR + ms)
+        for r in line.rising_edges():
+            out[r:r + ms] = [1] * ms
+        return out
+
     def test_gated_event_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -181,12 +199,9 @@ class TestBruteForceOracles:
         rng = np.random.default_rng(11)
         for _ in range(200):
             line, ms = rand_trace(rng, "l"), int(rng.integers(0, 400))
-            want = dense(line, self.DUR + ms)
-            for r in line.rising_edges():
-                want[r:r + ms] = [1] * ms
             out = pulse_stretch(line, ms)
             assert_well_formed(out)
-            assert dense(out, self.DUR + ms) == want
+            assert dense(out, self.DUR + ms) == self.oracle_stretch(line, ms)
 
     def test_debounce_oracle(self):
         rng = np.random.default_rng(12)
@@ -211,6 +226,28 @@ class TestBruteForceOracles:
             assert_well_formed(out)
             assert dense(out, self.DUR) == [1 - v for v in dense(line, self.DUR)]
         assert initial_high > 0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_pairs(), st.integers(0, 30))
+    # initial HIGH on both inputs
+    @example((PinTrace("a", HIGH, [(3, LOW), (9, HIGH)]), PinTrace("b", HIGH, [(5, LOW)])), 4)
+    # set and reset rise together at 5 with the latch LOW, and at 20 with it HIGH
+    @example((PinTrace("a", LOW, _alternating(LOW, [5, 6, 12, 13, 20, 21])),
+              PinTrace("b", LOW, _alternating(LOW, [5, 6, 20, 21]))), 3)
+    # the first pulse stretched to 5 ends where the next one starts
+    @example((PinTrace("a", LOW, _alternating(LOW, [0, 2, 5, 7])), PinTrace("b")), 5)
+    # the last pulse stretched to 10 runs into the span still open from 9
+    @example((PinTrace("a", LOW, _alternating(LOW, [5, 7, 9])), PinTrace("b")), 5)
+    # the gate, HIGH before 0, is outside the event's window clipped to [0, 5]
+    @example((PinTrace("a", LOW, _alternating(LOW, [5, 6])), PinTrace("b", HIGH, [(0, LOW)])), 10)
+    @example((PinTrace("a", HIGH, _alternating(HIGH, [1, 2, 4, 7])), PinTrace("b")), 0)
+    def test_combinators_equal_their_oracles(self, pair, ms):
+        a, b = pair
+        assert dense(gated_event(a, b, ms), self.DUR) == self.oracle_gated(a, b, ms)
+        assert dense(sr_latch(a, b), self.DUR) == self.oracle_latch(a, b)
+        horizon = self.DUR + ms + 1
+        assert dense(debounce(a, ms), horizon) == self.oracle_debounce(a, ms, horizon)
+        assert dense(pulse_stretch(a, ms), self.DUR + ms) == self.oracle_stretch(a, ms)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_traces(), _traces(), st.integers(0, 30))

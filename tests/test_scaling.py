@@ -12,7 +12,7 @@ from vsensor.compose import debounce, gated_event, invert, pulse_stretch, sr_lat
 from vsensor.devkit import power_on
 from vsensor.sensors import tap_sensor
 from vsensor.stimuli.imu import synth_imu
-from vsensor.vbus import HIGH, LOW, Bus, PinTrace
+from vsensor.vbus import HIGH, LOW, Bus, HighInterval, PinTrace, high_intervals
 
 BOUND_S = 3.0
 N = 20_000
@@ -73,6 +73,14 @@ def test_sr_latch_is_linear():
     out = _timed(lambda: sr_latch(set_line, reset_line))
     assert out.transitions == [(t, lvl) for k in range(0, N, 2) for t, lvl in
                                ((7 * k, HIGH), (7 * k + 3, LOW))]
+
+
+def test_high_intervals_is_linear():
+    line = _toggling_trace("x", N + 1, 0)
+    # 7 ms pulses every 14 ms, and the last one still open at the run's end
+    out = _timed(lambda: high_intervals(line, 7 * N + 5))
+    assert out == [HighInterval(14 * k, 14 * k + 7) for k in range(N // 2)] + [
+        HighInterval(7 * N, 7 * N + 5, True)]
 
 
 def test_feed_stimulus_is_linear():

@@ -134,6 +134,31 @@ def _traces(draw):
     return trace
 
 
+def _high_runs(trace, run_end):
+    """``high_intervals`` read off the dense levels at -1 .. 70: each HIGH run
+    [s, e), with an initial HIGH's run starting at 0, and a run still HIGH at
+    70 closed at run_end (the last edge if None) when it starts by then."""
+    levels = [trace.level_at(t) for t in range(-1, 71)]
+    starts = [t for t in range(71) if levels[t + 1] > levels[t]]
+    ends = [t for t in range(71) if levels[t + 1] < levels[t]]
+    if levels[0]:
+        starts.insert(0, 0)
+    runs = [(s, e, False) for s, e in zip(starts, ends)]
+    end = trace.last_time() if run_end is None else run_end
+    if levels[-1] and end >= starts[-1]:
+        runs.append((starts[-1], end, True))
+    return runs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_traces())
+def test_high_intervals_are_the_dense_high_runs(trace):
+    last = trace.last_time()
+    for run_end in (None, last - 3, last, last + 3):
+        got = [(iv.start, iv.end, iv.open_ended) for iv in high_intervals(trace, run_end)]
+        assert got == _high_runs(trace, run_end)
+
+
 def _alternating(initial, times):
     """The (time, level) pairs of edges at ``times`` from ``initial``, as a plain list."""
     pairs, level = [], initial
