@@ -8,14 +8,14 @@ private channel that no host-side query can read back.
 
 from __future__ import annotations
 
-import bisect
+import heapq
+import itertools
 import re
 import struct
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 
 from .vbus import EXPOSURE_COLUMNS, Bus, ExposureRecord, LogicLevel, LOW
 
@@ -138,10 +138,11 @@ class SensorDevice:
     A device that declares a serial interface also implements
     ``serial_read(n, at)`` over its read-only register map.
 
-    The base device is stepped at every tick.  A kind whose ``_idle()`` says
-    that a step with no stimulus due would change nothing is parked instead:
-    it is stepped at the first tick at or after its next queued stimulus,
-    and feeding it wakes it.
+    Fed stimuli wait in a heap, and ``_step`` pops those due in time order,
+    FIFO among equal times.  The base device is stepped at every tick.  A
+    kind whose ``_idle()`` says that a step with no stimulus due would change
+    nothing is parked instead: it is stepped at the first tick at or after
+    its next queued stimulus, and feeding it wakes it.
     """
 
     kind: DeviceKind
@@ -152,10 +153,9 @@ class SensorDevice:
         self._cadence_ms = cadence_ms
         self._powered = False
         self._params_payload: bytes | None = None
-        # (at, stimulus), sorted by time; FIFO among equal times.  The queue is
-        # _stimuli[_head:]; the consumed slots before it hold None.
-        self._stimuli: list[tuple[int, object] | None] = []
-        self._head = 0
+        # heap of (at, feed number, stimulus): by time, then FIFO; never compares stimuli
+        self._stimuli: list[tuple[int, int, object]] = []
+        self._fed = itertools.count()
         self._wake: Callable[[int], None] | None = None  # set by power_on
 
     # host-facing surface: interface, kind, cadence -- nothing else
@@ -192,7 +192,7 @@ class SensorDevice:
                 "MODALITY_MISMATCH",
                 f"{type(stimulus).__name__} into {self.kind.name} device",
             )
-        bisect.insort_right(self._stimuli, (at, stimulus), lo=self._head, key=itemgetter(0))
+        heapq.heappush(self._stimuli, (at, next(self._fed), stimulus))
         if self._wake is not None:
             self._wake(at)
 
@@ -205,21 +205,15 @@ class SensorDevice:
         now (0) unless idle, else at its next stimulus, or None if none is queued."""
         if not self._idle():
             return 0
-        queue, head = self._stimuli, self._head
-        return queue[head][0] if head < len(queue) else None
+        return self._stimuli[0][0] if self._stimuli else None
 
     def _pop_stimuli(self, t: int) -> list[tuple[int, object]]:
-        """Drain queued stimuli with timestamp <= t, oldest first.  Amortised
-        O(1) a stimulus: the consumed slots are dropped once they are at least
-        half the list, and until then hold None, so no stimulus outlives its use."""
-        queue, head = self._stimuli, self._head
-        cut = bisect.bisect_right(queue, t, lo=head, key=itemgetter(0))
-        due = queue[head:cut]
-        queue[head:cut] = [None] * (cut - head)
-        if 2 * cut >= len(queue):
-            del queue[:cut]
-            cut = 0
-        self._head = cut
+        """Drain queued stimuli with timestamp <= t, oldest first, in O(log n)
+        a stimulus; the queue lets go of each one as it is popped."""
+        queue, due = self._stimuli, []
+        while queue and queue[0][0] <= t:
+            at, _, stimulus = heapq.heappop(queue)
+            due.append((at, stimulus))
         return due
 
 

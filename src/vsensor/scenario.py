@@ -216,6 +216,8 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
             missing = [k for k in ("line_id", *inputs) if not args[k]]
             if missing:
                 raise ScenarioError(f"{name}: missing key(s) {missing}")
+            if type(args["line_id"]) is not str:
+                raise ScenarioError(f"{name}: line_id must be a string, not {args['line_id']!r}")
             numbers = [args[k] for k in numeric]
             if not all(type(n) is int and n >= 0 for n in numbers):  # rejects JSON booleans
                 raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
@@ -225,7 +227,11 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
                 if pins != [["DETECT"], ["STATE"]]:
                     raise ScenarioError("gaze_voice: gaze must be PERSON/GAZE, voice VOICE_PIN")
                 sources = [result.wiring[s][p] for s, (p,) in zip(sources, pins)]
-            result.bus.add_virtual_line(
+            bus = result.bus
+            unknown = [s for s in sources if s not in bus.lines and s not in bus.virtual_lines]
+            if unknown:  # only device lines and earlier composites, so no cycle can form
+                raise ScenarioError(f"{name}: {unknown} is no device line or earlier composite")
+            bus.add_virtual_line(
                 args["line_id"],
                 lambda b, fn=fn, sources=sources, numbers=numbers: fn(
                     *map(b.trace, sources), *numbers

@@ -235,7 +235,7 @@ def match_score(
     pixels: np.ndarray,
     prepared: tuple | None,
     img_fft: np.ndarray | None = None,
-    window_sums: tuple[np.ndarray, np.ndarray] | None = None,
+    window_sums: np.ndarray | None = None,
 ) -> float:
     """Max normalized cross-correlation of a prepared template over the
     image at every translation, clipped to [0, 1]; 0.0 for None.
@@ -252,7 +252,7 @@ def match_score(
     if img_fft is None:
         img_fft = np.fft.rfft2(img)
     if window_sums is None:
-        window_sums = integral_images(img)
+        window_sums = integral_images(np.asarray(pixels))
     return _ncc_max(_numerator(img_fft, prepared, img.shape), window_sums, prepared)
 
 
@@ -264,11 +264,9 @@ def _numerator(img_fft: np.ndarray, prepared: tuple, shape: tuple[int, int]) -> 
     return corr[: shape[0] - th + 1, : shape[1] - tw + 1]
 
 
-def _ncc_max(num: np.ndarray, window_sums: tuple[np.ndarray, np.ndarray],
-             prepared: tuple) -> float:
-    """match_score from the numerator: each window's NCC, max, clipped.
-    ``window_sums`` is integral_images' pair or _exact_integral_images'
-    stack of the same integers; both give the same result."""
+def _ncc_max(num: np.ndarray, window_sums: np.ndarray, prepared: tuple) -> float:
+    """match_score from the numerator and integral_images of the pixels:
+    each window's NCC, max, clipped."""
     th, tw, tn, _ = prepared
     s_int, q_int = window_sums
     wsum = _window_sum(s_int, th, tw)
@@ -280,7 +278,7 @@ def _ncc_max(num: np.ndarray, window_sums: tuple[np.ndarray, np.ndarray],
     return float(np.clip(ncc.max(initial=0.0), 0.0, 1.0))
 
 
-def _cannot_reach(num: np.ndarray, exact_sums: np.ndarray, prepared: tuple,
+def _cannot_reach(num: np.ndarray, sums: np.ndarray, prepared: tuple,
                   threshold: float) -> bool:
     """True when no translation's NCC can reach ``threshold`` (in (0, 1]).
 
@@ -288,11 +286,10 @@ def _cannot_reach(num: np.ndarray, exact_sums: np.ndarray, prepared: tuple,
     holds its core, rows [i0+1, i0+th) x cols [j0+1, j0+tw), and a sum of
     squared deviations only grows under inclusion, so each window's NCC is
     at most the block's largest numerator over tn * sqrt(SSD of the core).
-    ``exact_sums`` stacks the integer integral images of the pixels and
-    their squares, so the core sums are exact.  The relative slack on the
-    threshold covers the rounding of sqrt and divide in _ncc_max (and of a
-    float32 threshold); the 1e-3 taken off the SSD covers the rounding of
-    its float variance.
+    ``sums`` is integral_images of integer pixels, so the core sums are
+    exact.  The relative slack on the threshold covers the rounding of sqrt
+    and divide in _ncc_max (and of a float32 threshold); the 1e-3 taken off
+    the SSD covers the rounding of its float variance.
     """
     th, tw, tn, _ = prepared
     hn, wn = num.shape
@@ -302,7 +299,7 @@ def _cannot_reach(num: np.ndarray, exact_sums: np.ndarray, prepared: tuple,
     np.maximum(peak[:, : wn // 2], rows[:, 1::2], out=peak[:, : wn // 2])
     np.maximum(peak, 0.0, out=peak)
     bh, bw = peak.shape
-    core_rows = exact_sums[:, th : th + 2 * bh - 1 : 2] - exact_sums[:, 1 : 2 * bh : 2]
+    core_rows = sums[:, th : th + 2 * bh - 1 : 2] - sums[:, 1 : 2 * bh : 2]
     s, q = core_rows[:, :, tw : tw + 2 * bw - 1 : 2] - core_rows[:, :, 1 : 2 * bw : 2]
     n = (th - 1) * (tw - 1)
     # n * SSD(core) = n * sum(x^2) - sum(x)^2, an exact integer
@@ -310,20 +307,12 @@ def _cannot_reach(num: np.ndarray, exact_sums: np.ndarray, prepared: tuple,
     return bool((n * peak * peak < bound).all())
 
 
-def integral_images(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded cumulative sums of img and img**2."""
-    s = np.zeros((img.shape[0] + 1, img.shape[1] + 1))
-    q = np.zeros_like(s)
-    np.cumsum(np.cumsum(img, axis=0), axis=1, out=s[1:, 1:])
-    np.cumsum(np.cumsum(img * img, axis=0), axis=1, out=q[1:, 1:])
-    return s, q
-
-
-def _exact_integral_images(pixels: np.ndarray) -> np.ndarray:
-    """integral_images of integer pixels, exactly: the int64 sums of the
-    pixels and of their squares, stacked into one (2, h + 1, w + 1) array."""
-    px = pixels.astype(np.int64)
-    sums = np.zeros((2, px.shape[0] + 1, px.shape[1] + 1), dtype=np.int64)
+def integral_images(pixels: np.ndarray) -> np.ndarray:
+    """Zero-padded cumulative sums of the pixels and of their squares, stacked
+    into one (2, h + 1, w + 1) array: int64, so exact, for integer pixels and
+    float64 otherwise."""
+    px = pixels.astype(np.int64 if np.issubdtype(pixels.dtype, np.integer) else np.float64)
+    sums = np.zeros((2, px.shape[0] + 1, px.shape[1] + 1), dtype=px.dtype)
     np.cumsum(np.cumsum(px, axis=0), axis=1, out=sums[0, 1:, 1:])
     np.cumsum(np.cumsum(px * px, axis=0), axis=1, out=sums[1, 1:, 1:])
     return sums
@@ -356,9 +345,10 @@ class GazeParams:
 
 def _multi_scale_score(frame: Frame, figure: str, facing: bool, head_only: bool,
                        heights: tuple[int, ...]) -> float:
-    img = np.asarray(frame.pixels, dtype=np.float64)
+    pixels = frame.pixels
+    img = np.asarray(pixels, dtype=np.float64)
     img_fft = np.fft.rfft2(img)
-    sums = integral_images(img)
+    sums = integral_images(pixels)
     bank = _template_bank(figure, facing, head_only, tuple(heights), img.shape)
     return max((match_score(img, p, img_fft, sums) for p in bank), default=0.0)
 
@@ -372,14 +362,11 @@ def _multi_scale_reaches(frame: Frame, figure: str, facing: bool, head_only: boo
         return _multi_scale_score(frame, figure, facing, head_only, heights) >= threshold
     img = pixels.astype(np.float64)
     img_fft = np.fft.rfft2(img)
-    # the NCC chain reads the exact sums too: integral_images(img) holds the
-    # same integers, each below 2**53, so every float _ncc_max derives from
-    # them is the same, bit for bit, and no float copy of the sums is made
-    exact_sums = _exact_integral_images(pixels)
+    sums = integral_images(pixels)
     for p in _template_bank(figure, facing, head_only, tuple(heights), img.shape):
         num = _numerator(img_fft, p, img.shape)
-        if (not _cannot_reach(num, exact_sums, p, float(threshold))
-                and _ncc_max(num, exact_sums, p) >= threshold):
+        if (not _cannot_reach(num, sums, p, float(threshold))
+                and _ncc_max(num, sums, p) >= threshold):
             return True
     return False
 

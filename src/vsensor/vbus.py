@@ -175,39 +175,10 @@ def _from_times(line_id: str, initial_level: LogicLevel, times: list[int]) -> Pi
     return trace
 
 
-def high_spans(trace: PinTrace) -> list[tuple[int | None, int | None]]:
-    """Half-open [s, e) HIGH spans, the package's one HIGH-span format.
-
-    ``s`` is None for the span a HIGH initial level opens, ``e`` None for a
-    span still open at the end: levels alternate, so the edge, or else the
-    end (None), after a HIGH closes its span.  ``trace_from_spans`` is the inverse.
-    """
-    bounds = [None] * trace.initial_level + trace.times + [None]
-    return list(zip(bounds[::2], bounds[1::2]))
-
-
-def trace_from_spans(line_id: str, spans: list[tuple[int | None, int | None]]) -> PinTrace:
-    """The trace that is HIGH exactly on ``spans``, the inverse of ``high_spans``.
-
-    ``spans`` are in ``high_spans`` format, sorted by start; overlapping and
-    adjacent spans merge.
-    """
-    bounds: list[int | None] = []  # s0, e0, s1, e1, ... of the merged spans
-    end = None  # bounds[-1]
-    for s, e in spans:
-        if not bounds or (end is not None and s > end):
-            bounds += (s, e)
-            end = e
-        elif end is not None and (e is None or e > end):
-            bounds[-1] = end = e
-    initial = HIGH if bounds and bounds[0] is None else LOW
-    return _from_times(line_id, initial, [t for t in bounds if t is not None])
-
-
 def high_intervals(trace: PinTrace, run_end: int | None = None) -> list[HighInterval]:
-    """``high_spans`` as intervals.  An initial HIGH starts at 0; a span still
-    open at the end closes at ``run_end`` (default: the last transition time)
-    and is flagged open-ended."""
+    """The trace's HIGH spans, the package's one HIGH-span form.  An initial
+    HIGH starts at 0; a span still open at the end closes at ``run_end``
+    (default: the last transition time) and is flagged open-ended."""
     times, lead = trace.times, trace.initial_level
     end = trace.last_time() if run_end is None else run_end
     out = [HighInterval(0, times[0])] if lead and times else []
@@ -235,7 +206,7 @@ class Bus:
         self.virtual_lines: dict[str, Callable[["Bus"], PinTrace]] = {}
         # per stepper: cadence, step callback, next-due callback, attach clock
         self._steppers: list[tuple[int, Callable[[int], None],
-                                   Callable[[], int | None] | None, int]] = []
+                                   Callable[[], int | None], int]] = []
         # (due_ms, attach index): steppers due together run in attach order.
         # An entry whose time is not its stepper's _armed time is stale: the
         # stepper was stepped or re-armed sooner since, and the entry is dropped.
@@ -265,21 +236,21 @@ class Bus:
     # -- devices ---------------------------------------------------------
 
     def attach_stepper(self, cadence_ms: int, fn: Callable[[int], None],
-                       next_due: Callable[[], int | None] | None = None) -> int:
+                       next_due: Callable[[], int | None] = lambda: 0) -> int:
         """Register ``fn(t)``, stepped at multiples t of cadence_ms after the
         clock; returns the stepper's handle for ``wake``.
 
-        Without ``next_due`` the stepper runs at every tick.  With it, the bus
-        asks ``next_due()`` on attaching and after each step when the stepper
-        next has work: it runs at its first tick at or after that time (a time
-        already past means its next tick), and None parks it until ``wake``.
+        The bus asks ``next_due()`` on attaching and after each step when the
+        stepper next has work: it runs at its first tick at or after that time
+        (a time already past, as the default 0 is, means its next tick), and
+        None parks it until ``wake``.
         """
         if cadence_ms < 1:
             raise BusError("cadence must be >= 1 ms")
         handle = len(self._steppers)
         self._steppers.append((cadence_ms, fn, next_due, self.clock))
         self._armed.append(None)
-        at = self.clock if next_due is None else next_due()
+        at = next_due()
         if at is not None:
             self.wake(handle, at)
         return handle
@@ -318,7 +289,7 @@ class Bus:
             t, i = heapq.heappop(due)
             if armed[i] != t:
                 continue  # stale entry
-            cadence, fn, next_due, _ = self._steppers[i]
+            _, fn, next_due, _ = self._steppers[i]
             # popped and unarmed before the step, so a wake during it re-arms
             armed[i] = None
             self.clock, self._stepped = t, (t, i)
@@ -328,7 +299,7 @@ class Bus:
                 armed[i] = t  # a stepper that raises stays due at t
                 heapq.heappush(due, (t, i))
                 raise
-            at = t + cadence if next_due is None else next_due()
+            at = next_due()
             if at is not None:
                 self.wake(i, at)
         self.clock, self._stepped = end, (end, math.inf)

@@ -194,6 +194,17 @@ MALFORMED = [
      _one_device("TAP", composites=[{**GATED, "event": None}]), "['event']"),
     ("composite_negative_window", "simulate",
      _one_device("TAP", composites=[{**GATED, "window_ms": -1}]), "window_ms"),
+    # each composite is checked as it registers, not when the run is written
+    ("composite_line_id_not_a_string", "simulate",
+     _one_device("TAP", composites=[GATED, {**GATED, "line_id": 5}]),
+     "composites[1]: gated_event: line_id must be a string, not 5"),
+    ("composite_cycle", "simulate",
+     _one_device("TAP", composites=[{"combinator": "invert", "line_id": "a", "line": "b"},
+                                    {"combinator": "invert", "line_id": "b", "line": "a"}]),
+     "composites[0]: invert: ['b'] is no device line or earlier composite"),
+    ("composite_input_unknown", "simulate",
+     _one_device("TAP", composites=[{**GATED, "gate": "nope"}]),
+     "composites[0]: gated_event: ['nope'] is no device line or earlier composite"),
     ("protocol_distance", "conformance", _grid(distance_levels_m=[1.0, 20.0]),
      "distance_m must be in [0.25, 10]"),
     ("protocol_extra_key", "conformance", _grid(extra=1), "'extra'"),

@@ -201,7 +201,7 @@ class TestStimulusQueue:
             dev.feed_stimulus(stimulus, k)
         refs = [weakref.ref(x) for x in stimuli]
         del stimulus, stimuli
-        dev._pop_stimuli(0)  # one of eight: the queue keeps its slot
+        dev._pop_stimuli(0)  # one of eight
         gc.collect()
         assert [r() is None for r in refs] == [True] + [False] * 7
 

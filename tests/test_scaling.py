@@ -3,7 +3,9 @@
 Each workload is sized so that linear-time code finishes in well under a
 second, while code that rescans or re-sorts per operation takes several
 seconds or more.  The 3 s bound is loose on purpose, so that a slow or
-shared machine does not make these flaky.
+shared machine does not make these flaky.  Quadratic work done in C (a list
+copied, re-sorted or shifted per item) costs only nanoseconds per item and
+step, so the guards where it could slip in run on LONG or more items.
 """
 
 import time
@@ -16,6 +18,7 @@ from vsensor.vbus import HIGH, LOW, Bus, HighInterval, PinTrace, high_intervals
 
 BOUND_S = 3.0
 N = 20_000
+LONG = 8 * N
 
 
 def _toggling_trace(line_id, n, offset):
@@ -53,7 +56,7 @@ def test_invert_is_linear():
 
 
 def test_debounce_is_linear():
-    line = _toggling_trace("x", N, 0)
+    line = _toggling_trace("x", LONG, 0)
     # every level holds 7 ms, so a 5 ms hold passes each edge 5 ms late
     out = _timed(lambda: debounce(line, 5))
     assert out.transitions == [(t + 5, lvl) for t, lvl in line.transitions]
@@ -67,37 +70,42 @@ def test_pulse_stretch_is_linear():
 
 
 def test_sr_latch_is_linear():
-    set_line = _toggling_trace("s", N, 0)
-    reset_line = _toggling_trace("r", N, 3)
+    set_line = _toggling_trace("s", LONG, 0)
+    reset_line = _toggling_trace("r", LONG, 3)
     # each set is reset 3 ms later
     out = _timed(lambda: sr_latch(set_line, reset_line))
-    assert out.transitions == [(t, lvl) for k in range(0, N, 2) for t, lvl in
+    assert out.transitions == [(t, lvl) for k in range(0, LONG, 2) for t, lvl in
                                ((7 * k, HIGH), (7 * k + 3, LOW))]
 
 
 def test_high_intervals_is_linear():
-    line = _toggling_trace("x", N + 1, 0)
+    line = _toggling_trace("x", LONG + 1, 0)
     # 7 ms pulses every 14 ms, and the last one still open at the run's end
-    out = _timed(lambda: high_intervals(line, 7 * N + 5))
-    assert out == [HighInterval(14 * k, 14 * k + 7) for k in range(N // 2)] + [
-        HighInterval(7 * N, 7 * N + 5, True)]
+    out = _timed(lambda: high_intervals(line, 7 * LONG + 5))
+    assert out == [HighInterval(14 * k, 14 * k + 7) for k in range(LONG // 2)] + [
+        HighInterval(7 * LONG, 7 * LONG + 5, True)]
 
 
 def test_feed_stimulus_is_linear():
+    # 320,000 stimuli fed, then popped in one call
+    n = 16 * N
     device = tap_sensor()
     window = synth_imu([], 100, 0.0, 0)
+    popped = []
 
-    def feed():
-        for k in range(N):
+    def feed_then_pop_all():
+        for k in range(n):
             device.feed_stimulus(window, 10 * k)
+        popped.extend(device._pop_stimuli(10 * n))
 
-    assert _elapsed(feed) < BOUND_S
-    assert len(device._pop_stimuli(10 * N)) == N
+    assert _elapsed(feed_then_pop_all) < BOUND_S
+    assert len(popped) == n
 
 
 def test_stimulus_queue_pops_in_linear_time():
-    # 320,000 stimuli popped one step at a time: deleting the consumed prefix
-    # on each pop, which moves every entry left, takes over 10 s here
+    # 320,000 stimuli popped one step at a time: a queue that moves every
+    # remaining entry on each pop (list.pop(0), or deleting the consumed
+    # prefix) takes over 10 s here
     n = 16 * N
     device = tap_sensor()
     window = synth_imu([], 100, 0.0, 0)

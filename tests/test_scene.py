@@ -11,7 +11,6 @@ from vsensor.stimuli.scene import (
     GazeParams,
     PersonParams,
     SceneParams,
-    _exact_integral_images,
     _figure_template,
     _template_bank,
     detect_gaze,
@@ -263,19 +262,21 @@ class TestPresentDecision:
             assert_decisions_exact(f, threshold)
 
     def test_exact_integral_images(self):
-        # the bounded path's integer sums against integral_images of the same
-        # uint8 pixels; its NCC chain reads them in place of the float sums
+        # integral_images is int64, so exact, for integer pixels and float64
+        # otherwise; on the same values both give every NCC to the same bit
         wide = np.concatenate([scene(seed=8, d=2.0).pixels[16:80, 16:80],
                                scene(facing=True, seed=9).pixels[16:80, 16:80]], axis=1)
         saturated = np.full((FRAME_SIZE, FRAME_SIZE), 255, dtype=np.uint8)
+        signed = (scene(seed=14).pixels.astype(np.int16) - 128) * 3  # negative values too
+        halves = scene(facing=True, seed=15).pixels * 0.5
         for px in (scene(seed=11).pixels, scene(False, seed=12, sigma=16.0).pixels, wide,
-                   scene(seed=10).pixels[36:56, 38:58], saturated):
+                   scene(seed=10).pixels[36:56, 38:58], saturated, signed, halves):
             img = px.astype(np.float64)
-            exact = _exact_integral_images(px)
-            floats = integral_images(img)
-            assert exact.dtype == np.int64 and exact.shape == (2, *np.add(px.shape, 1))
-            assert np.array_equal(exact, np.array(floats, dtype=np.int64))
-            assert exact.astype(np.float64).tobytes() == np.array(floats).tobytes()
+            sums, floats = integral_images(px), integral_images(img)
+            exact = np.issubdtype(px.dtype, np.integer)
+            assert sums.dtype == (np.int64 if exact else np.float64)
+            assert floats.dtype == np.float64 and sums.shape == (2, *np.add(px.shape, 1))
+            assert sums.astype(np.float64).tobytes() == floats.tobytes()
             img_fft = np.fft.rfft2(img)
             bank = [p for facing, head_only in ((False, False), (True, True))
                     for p in _template_bank("person", facing, head_only,
@@ -283,7 +284,8 @@ class TestPresentDecision:
             assert bank
             for p in bank:
                 num = scene_mod._numerator(img_fft, p, px.shape)
-                assert scene_mod._ncc_max(num, exact, p) == scene_mod._ncc_max(num, floats, p)
+                assert scene_mod._ncc_max(num, sums, p) == scene_mod._ncc_max(num, floats, p)
+                assert match_score(img, p) == match_score(img, p, img_fft, sums)
 
     @pytest.mark.parametrize("threshold", [0.999999, 1.0])
     def test_exact_template_copy(self, threshold):

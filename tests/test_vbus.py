@@ -26,8 +26,6 @@ from vsensor.vbus import (
     PinTrace,
     Status,
     high_intervals,
-    high_spans,
-    trace_from_spans,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -208,59 +206,6 @@ def test_transitions_view_matches_a_list_of_pairs(initial, times, data):
         assert view == pairs
     assert trace.append(last + 5, other) is True
     assert view == pairs + [(last + 5, other)]  # the view reads the live times
-
-    back = trace_from_spans("y", high_spans(trace))
-    assert (back.initial_level, back.transitions) == (initial, trace.transitions)
-
-
-class TestHighSpans:
-    def test_format(self):
-        tr = PinTrace("x", HIGH, [(3, LOW), (5, HIGH), (9, LOW), (12, HIGH)])
-        assert high_spans(tr) == [(None, 3), (5, 9), (12, None)]
-        assert high_spans(PinTrace("x", LOW, [(0, HIGH), (4, LOW)])) == [(0, 4)]
-        assert high_spans(PinTrace("x")) == []
-        assert high_spans(PinTrace("x", HIGH)) == [(None, None)]
-
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(_traces())
-    @example(PinTrace("x"))
-    @example(PinTrace("x", HIGH))
-    @example(PinTrace("x", LOW, [(0, HIGH)]))
-    @example(PinTrace("x", HIGH, [(0, LOW)]))
-    def test_trace_from_spans_inverts_high_spans(self, trace):
-        back = trace_from_spans("y", high_spans(trace))
-        assert back.line_id == "y"
-        assert back.initial_level == trace.initial_level
-        assert back.transitions == trace.transitions
-
-    def test_overlapping_and_adjacent_spans_merge(self):
-        spans = [(None, 2), (2, 4), (6, 9), (7, 8), (9, 11), (13, None), (15, 20)]
-        tr = trace_from_spans("x", spans)
-        assert tr.initial_level == HIGH
-        assert tr.transitions == [(4, LOW), (6, HIGH), (11, LOW), (13, HIGH)]
-
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 60), st.integers(1, 15)), max_size=8),
-        st.none() | st.integers(0, 30),
-        st.booleans(),
-    )
-    def test_trace_from_spans_is_the_union(self, pieces, head_end, open_end):
-        spans = sorted((s, s + n) for s, n in pieces)
-        if head_end is not None:
-            spans.insert(0, (None, head_end))
-        if open_end and spans:
-            spans[-1] = (spans[-1][0], None)
-        trace = trace_from_spans("x", spans)
-        for t in range(-1, 80):
-            high = any((s is None or s <= t) and (e is None or t < e) for s, e in spans)
-            assert trace.level_at(t) == (HIGH if high else LOW), t
-        levels = [trace.initial_level] + [lvl for _, lvl in trace.transitions]
-        assert all(a != b for a, b in zip(levels, levels[1:]))
-        assert all(a < b for (a, _), (b, _) in zip(trace.transitions, trace.transitions[1:]))
-        # merged: no two output spans overlap or touch
-        out = high_spans(trace)
-        assert all(e < s for (_, e), (s, _) in zip(out, out[1:]))
 
 
 class TestBus:
