@@ -105,7 +105,7 @@ def test_feed_stimulus_is_linear():
 def test_stimulus_queue_pops_in_linear_time():
     # 320,000 stimuli popped one step at a time: a queue that moves every
     # remaining entry on each pop (list.pop(0), or deleting the consumed
-    # prefix) takes over 10 s here
+    # prefix) takes over 10 s on a 2-core Xeon VM
     n = 16 * N
     device = tap_sensor()
     window = synth_imu([], 100, 0.0, 0)
