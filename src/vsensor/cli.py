@@ -35,11 +35,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str, seed: int | None = None) -> dict:
-    """The JSON object in ``path``, its ``seed`` replaced when one is given."""
+    """The JSON object in ``path``, which may repeat no key, its ``seed``
+    replaced when one is given."""
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(_read_text(path), object_pairs_hook=ds_mod._reject_duplicates)
     except json.JSONDecodeError as e:
         raise _CliError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # a duplicate key
+        raise _CliError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise _CliError(f"{path}: top level must be a JSON object")
     if seed is not None:

@@ -112,12 +112,6 @@ class ConformanceReport:
     tool_version: str = TOOL_VERSION
     envelope_summary: OperatingEnvelope | None = None
 
-    def cell(self, distance_m: float, lux: float) -> CellResult:
-        for c in self.cells:
-            if c.distance_m == distance_m and c.lux == lux:
-                return c
-        raise KeyError((distance_m, lux))
-
     def to_doc(self) -> dict:
         env = self.envelope_summary
         return {

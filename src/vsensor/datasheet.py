@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .devkit import (Finding, InterfaceDecl, PinRole, SensorDevice, SerialDecl, audit,
-                     declared_channels)
+from .devkit import (CodedError, Finding, InterfaceDecl, PinRole, SensorDevice, SerialDecl,
+                     audit, declared_channels)
+from .stimuli import is_integer
 from .vbus import ExposureRecord
 
 SCHEMA_VERSION = 1
@@ -64,12 +65,8 @@ _REQUIRED_FIELDS = {
     "comm_spec_pinout": ("pins", "serial", "timing", "declared_outputs"),
 }
 
-class DatasheetError(Exception):
-    """Datasheet misuse; ``code`` is a stable machine-readable identifier."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class DatasheetError(CodedError):
+    """Datasheet misuse."""
 
 
 @dataclass
@@ -196,10 +193,15 @@ def _check_pinout_consistency(pinout: object) -> list[Violation]:
             )
     elif pins is not None:
         v.append(Violation("comm_spec_pinout", "INCONSISTENT", "pins must be a list"))
+    serial = pinout.get("serial")
+    if serial is not None and not (isinstance(serial, dict) and all(
+            is_integer(serial.get(k)) for k in ("address", "register_map_len"))):
+        v.append(Violation("comm_spec_pinout", "INCONSISTENT",
+                           "serial address and register_map_len must be integers"))
     timing = pinout.get("timing")
     if timing is not None and (
         not isinstance(timing, dict)
-        or not all(isinstance(x, int) and x >= 1 for x in timing.values())
+        or not all(is_integer(x) and x >= 1 for x in timing.values())
     ):
         v.append(
             Violation(
@@ -280,8 +282,6 @@ def interface_from_pinout(pinout: object) -> InterfaceDecl:
         decl = SerialDecl(
             serial["address"], serial["register_map_len"], serial["packet_spec_id"]
         ) if serial else None
-        if decl and not all(isinstance(n, int) for n in (decl.address, decl.register_map_len)):
-            raise ValueError("serial address and register_map_len must be integers")
         return InterfaceDecl(pins, decl, pinout.get("declared_outputs", "-"))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed comm_spec_pinout: {e}") from e

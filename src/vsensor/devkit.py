@@ -39,8 +39,8 @@ class PinRole(Enum):
     SIGNAL_OUT = "signal_out"
 
 
-class DeviceError(Exception):
-    """Device misuse; ``code`` is a stable machine-readable identifier."""
+class CodedError(Exception):
+    """An error whose ``code`` is a stable machine-readable identifier."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -51,6 +51,10 @@ class DeviceError(Exception):
         # pickle the constructor's own arguments, so that an error raised in
         # a conformance worker process can be rebuilt in the parent
         return type(self), (self.code, self.message)
+
+
+class DeviceError(CodedError):
+    """Device misuse."""
 
 
 @dataclass

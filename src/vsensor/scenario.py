@@ -24,7 +24,7 @@ from .sensors import (
     voice_sensor_pin,
     voice_sensor_serial,
 )
-from .stimuli import derive_seed
+from .stimuli import derive_seed, is_integer
 from .stimuli.audio import ScriptWindow
 from .stimuli.imu import TapWindow
 from .stimuli.scene import SceneFrame, SceneParams
@@ -43,14 +43,38 @@ class ScenarioResult:
     wiring: dict[str, dict[str, str]]
 
 
-def _with_defaults(given: object, defaults: dict, where: str) -> dict:
-    """``defaults`` overridden by ``given``, whose keys must all be known."""
+# a default's type -> the test a value given in its place must pass, and its name
+_JSON_TYPES = {
+    int: (is_integer, "an integer"),
+    float: (lambda v: isinstance(v, float) or is_integer(v), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    list: (lambda v: isinstance(v, list), "a list"),
+    tuple: (lambda v: isinstance(v, list), "a list"),  # a factory's sequence default
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _with_defaults(given: object, defaults: dict, where: str, prefix: str = "") -> dict:
+    """``defaults`` overridden by ``given``, whose keys must all be known and
+    whose values must each have their default's JSON type (``_JSON_TYPES``;
+    a None default takes any value).  A non-empty dict default is a nested
+    object checked the same way; ``prefix`` is ``given``'s dotted path."""
     if not isinstance(given, dict):
-        raise ScenarioError(f"{where} must be an object")
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise ScenarioError(f"unknown {where} key(s) {unknown}")
-    return {**defaults, **given}
+        raise ScenarioError(f"{where} must be an object, not {given!r}")
+    if not given.keys() <= defaults.keys():
+        unknown = sorted(given.keys() - defaults.keys())
+        raise ScenarioError(f"unknown {where + ' ' if where else ''}key(s) {unknown}")
+    out = {**defaults, **given}
+    for key, value in given.items():
+        default = defaults[key]
+        if isinstance(default, dict) and default:
+            out[key] = _with_defaults(value, default, prefix + key, f"{prefix}{key}.")
+        elif type(default) in _JSON_TYPES:
+            test, name = _JSON_TYPES[type(default)]
+            if not test(value):
+                raise ScenarioError(f"{prefix}{key} must be {name}, not {value!r}")
+    return out
 
 
 def _fields(cls, **overrides) -> dict:
@@ -72,7 +96,7 @@ KINDS = {
 
 def config_defaults(factory) -> dict:
     """``factory``'s parameters but ``params``, with defaults; ``policy`` is an object."""
-    return {name: {} if name == "policy" else p.default
+    return {name: _fields(PersonPinPolicy) if name == "policy" else p.default
             for name, p in inspect.signature(factory).parameters.items() if name != "params"}
 
 
@@ -99,15 +123,14 @@ def _located(path: str):
         raise ScenarioError(f"{path}: {e}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise ScenarioError(f"{path}: {type(e).__name__}: {e}") from e
-    except struct.error as e:  # a value that does not fit its parameter field
+    except (struct.error, OverflowError) as e:  # a value that does not fit its field
         raise ScenarioError(f"{path}: bad value: {e}") from e
 
 
 def _entries(doc: dict, key: str) -> list[dict]:
-    items = doc.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+    if not all(isinstance(x, dict) for x in doc[key]):
         raise ScenarioError(f"{key} must be a list of objects")
-    return items
+    return doc[key]
 
 
 def _build_device(spec: dict) -> SensorDevice:
@@ -115,16 +138,12 @@ def _build_device(spec: dict) -> SensorDevice:
     if kind not in KINDS:
         raise ScenarioError(f"unknown device kind {kind!r}")
     factory = KINDS[kind]
-    config = _with_defaults(spec["config"], config_defaults(factory), "config")
+    config = _with_defaults(spec["config"], config_defaults(factory), "config", "config.")
     if "policy" in config:
-        policy = _with_defaults(config["policy"], _fields(PersonPinPolicy), "config.policy")
-        config["policy"] = PersonPinPolicy(**policy)
+        config["policy"] = PersonPinPolicy(**config["policy"])
     # a params file replaces the built blob as it is, so an empty file fails BAD_CRC
-    params = spec["params"]
-    if params is not None:
-        if not isinstance(params, str):
-            raise ScenarioError(f"params must be a file path, not {params!r}")
-        with open(params, "rb") as f:
+    if spec["params"]:
+        with open(spec["params"], "rb") as f:
             config["params"] = f.read()
     return factory(**config)
 
@@ -137,8 +156,8 @@ def _default_wiring(device_id: str, device: SensorDevice) -> dict[str, str]:
     return wiring
 
 
-def _parse_reading(text: object) -> Reading:
-    if not isinstance(text, str):
+def _parse_reading(text: str) -> Reading:
+    if not text:
         raise ScenarioError("display needs a 'reading' string")
     negative = text.startswith("-")
     body = text[1:] if negative else text
@@ -160,10 +179,9 @@ def _display_frames(e: dict, seed: int):
         yield e["at"] + k * e["every_ms"], DisplayFrame(reading, layout, params)
 
 
-# modality -> (builder of (at, stimulus) pairs from (entry, seed), the
-# entry's keys besides modality, at and seed, with defaults).  A dict
-# default is a nested object checked key by key; params and layout take
-# their dataclass fields.  Each stimulus is checked as it is built and
+# modality -> (builder of (at, stimulus) pairs from (entry, seed), the entry's
+# keys besides modality, at and seed, with defaults; params and layout are
+# their dataclass fields).  Each stimulus is checked as it is built and
 # synthesized when its device first reads it (SceneFrame and the like).
 _MODALITIES = {
     "scene": (_scene_frames,
@@ -177,7 +195,7 @@ _MODALITIES = {
               {"script": [], "vocabulary": ["on", "off"], "duration_ms": None,
                "noise_sigma": 0.08}),
     "display": (_display_frames,
-                {"reading": None, "every_ms": 500, "count": 1, "params": _fields(DisplayParams),
+                {"reading": "", "every_ms": 500, "count": 1, "params": _fields(DisplayParams),
                  "layout": _fields(DisplayLayout)}),
 }
 
@@ -187,19 +205,11 @@ def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
     if modality not in _MODALITIES:
         raise ScenarioError(f"unknown stimulus modality {modality!r}")
     build, keys = _MODALITIES[modality]
-    entry = _with_defaults(spec, {"modality": None, "at": 0, "seed": None, **keys}, modality)
-    booleans = [k for k in ("at", "count", "every_ms", "duration_ms") if type(entry.get(k)) is bool]
-    if booleans:  # JSON true/false would pass as the integers 1/0
-        raise ScenarioError(f"{modality}: {booleans} must be integers, not booleans")
-    if "seed" in spec and type(spec["seed"]) is not int:
-        raise ScenarioError(f"{modality}: seed must be an integer, not {spec['seed']!r}")
+    entry = _with_defaults(spec, {"modality": "", "at": 0, "seed": 0, **keys}, modality)
     short = [f"{k} >= {low}" for k, low in (("at", 0), ("count", 1), ("every_ms", 1))
-             if k in entry and not (type(entry[k]) is int and entry[k] >= low)]
+             if entry.get(k, low) < low]
     if short:
         raise ScenarioError(f"{modality}: needs integers {', '.join(short)}")
-    for key, default in keys.items():
-        if isinstance(default, dict):
-            entry[key] = _with_defaults(entry[key], default, key)
     for at, stimulus in build(entry, base):
         device.feed_stimulus(stimulus, at)
 
@@ -211,15 +221,13 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
             if name not in _COMBINATORS:
                 raise ScenarioError(f"unknown combinator {name!r}")
             fn, inputs, numeric = _COMBINATORS[name]
-            keys = {"combinator": name, "line_id": None, **dict.fromkeys(inputs), **numeric}
+            keys = {"combinator": "", "line_id": "", **dict.fromkeys(inputs, ""), **numeric}
             args = _with_defaults(spec, keys, name)
             missing = [k for k in ("line_id", *inputs) if not args[k]]
             if missing:
                 raise ScenarioError(f"{name}: missing key(s) {missing}")
-            if type(args["line_id"]) is not str:
-                raise ScenarioError(f"{name}: line_id must be a string, not {args['line_id']!r}")
             numbers = [args[k] for k in numeric]
-            if not all(type(n) is int and n >= 0 for n in numbers):  # rejects JSON booleans
+            if any(n < 0 for n in numbers):
                 raise ScenarioError(f"{name}: {list(numeric)} must be integers >= 0")
             sources = [args[k] for k in inputs]
             if name == "gaze_voice":
@@ -231,19 +239,15 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
             unknown = [s for s in sources if s not in bus.lines and s not in bus.virtual_lines]
             if unknown:  # only device lines and earlier composites, so no cycle can form
                 raise ScenarioError(f"{name}: {unknown} is no device line or earlier composite")
-            bus.add_virtual_line(
-                args["line_id"],
-                lambda b, fn=fn, sources=sources, numbers=numbers: fn(
-                    *map(b.trace, sources), *numbers
-                ),
-            )
+            bus.add_virtual_line(args["line_id"], lambda b, fn=fn, sources=sources,
+                                 numbers=numbers: fn(*map(b.trace, sources), *numbers))
 
 
-# the keys of a scenario, of each device entry and of each serial read
+# the keys of a scenario, of each device entry and of each serial read, with
+# their defaults; an empty default marks a key that must be given
 _SCENARIO_KEYS = {"seed": 0, "duration_ms": 0, "devices": [], "composites": [], "serial_reads": []}
-_DEVICE_KEYS = {"id": None, "kind": None, "config": {}, "params": None, "wiring": None,
-                "stimuli": []}
-_READ_KEYS = {"at", "address", "n"}
+_DEVICE_KEYS = {"id": "", "kind": "", "config": {}, "params": "", "wiring": {}, "stimuli": []}
+_READ_KEYS = {"at": 0, "address": 0, "n": 1}
 
 
 def run_scenario(doc: dict) -> ScenarioResult:
@@ -251,22 +255,21 @@ def run_scenario(doc: dict) -> ScenarioResult:
     if not isinstance(doc, dict):
         raise ScenarioError("a scenario must be an object")
     doc = _with_defaults(doc, _SCENARIO_KEYS, "scenario")
-    duration = doc["duration_ms"]
-    if type(duration) is not int or duration < 1:  # rejects JSON booleans
+    duration, seed = doc["duration_ms"], doc["seed"]
+    if duration < 1:
         raise ScenarioError("duration_ms must be an integer >= 1")
-    seed = doc["seed"]
-    if type(seed) is not int:  # rejects JSON booleans
-        raise ScenarioError(f"seed must be an integer, not {seed!r}")
     bus = Bus()
     result = ScenarioResult(bus, {}, {})
-    for i, spec in enumerate(_entries(doc, "devices")):
+    for i, spec in enumerate(doc["devices"]):
         with _located(f"devices[{i}]"):
             spec = _with_defaults(spec, _DEVICE_KEYS, "device")
             device_id = spec["id"]
             if not device_id or device_id in result.devices:
                 raise ScenarioError(f"missing or duplicate device id {device_id!r}")
             device = _build_device(spec)
-            wiring = spec["wiring"] or _default_wiring(device_id, device)
+            wiring = spec["wiring"]  # its line ids are strings; power_on finds a pin left out
+            wiring = (_with_defaults(wiring, dict.fromkeys(wiring, ""), "wiring", "wiring.")
+                      or _default_wiring(device_id, device))
             power_on(device, bus, wiring)
             stimuli = _entries(spec, "stimuli")
         result.devices[device_id] = device
@@ -276,27 +279,23 @@ def run_scenario(doc: dict) -> ScenarioResult:
                 base = stimulus.get("seed", derive_seed(seed, device_id, j))
                 _feed_stimulus(device, stimulus, base)
     _register_composites(result, _entries(doc, "composites"))
-    reads = _entries(doc, "serial_reads")
-    for i, read in enumerate(reads):
-        if not read.keys() <= _READ_KEYS:
-            raise ScenarioError(f"serial_reads[{i}]: unknown key(s) "
-                                f"{sorted(read.keys() - _READ_KEYS)}")
-        at, address, n = read.get("at"), read.get("address"), read.get("n", 1)
-        integers = all(type(v) is int for v in (at, address, n))  # rejects JSON booleans
-        if not (integers and 0 < at <= duration and n >= 0):
-            raise ScenarioError(
-                f"serial_reads[{i}]: needs integers at in (0, {duration}], address and n"
-            )
-        if not I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX:
-            raise ScenarioError(f"serial_reads[{i}]: address 0x{address:02x} outside "
-                                f"[0x{I2C_ADDRESS_MIN:02x}, 0x{I2C_ADDRESS_MAX:02x}]")
+    reads = []
+    for i, read in enumerate(_entries(doc, "serial_reads")):
+        with _located(f"serial_reads[{i}]"):
+            read = _with_defaults(read, _READ_KEYS, "")
+            if not (0 < read["at"] <= duration and read["n"] >= 0 and read["address"]):
+                raise ScenarioError(f"needs integers at in (0, {duration}], address and n")
+            if not I2C_ADDRESS_MIN <= read["address"] <= I2C_ADDRESS_MAX:
+                raise ScenarioError(f"address 0x{read['address']:02x} outside "
+                                    f"[0x{I2C_ADDRESS_MIN:02x}, 0x{I2C_ADDRESS_MAX:02x}]")
+        reads.append(read)
     clock = 0
     for read in sorted(reads, key=lambda r: r["at"]):
-        at, address = read["at"], read["address"]
+        at = read["at"]
         if at > clock:
             bus.advance(at - clock)
             clock = at
-        bus.i2c_transfer(address, Direction.READ, read.get("n", 1))
+        bus.i2c_transfer(read["address"], Direction.READ, read["n"])
     if clock < duration:
         bus.advance(duration - clock)
     return result

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devkit import (
+    CodedError,
     DeviceError,
     DeviceKind,
     InterfaceDecl,
@@ -47,12 +48,8 @@ SIGN_NEGATIVE = 0xD
 # -- signed packed-BCD reading protocol -------------------------------------
 
 
-class BcdError(Exception):
-    """Raised on encode/decode protocol violations; ``code`` is stable."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class BcdError(CodedError):
+    """Raised on encode/decode protocol violations."""
 
 
 def encode_reading(r: Reading) -> bytes:

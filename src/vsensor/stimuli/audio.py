@@ -12,13 +12,12 @@ The distractor "often" is constructed as a deliberate near-match for
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import check_noise, derive_seed
+from . import check_noise, derive_seed, is_integer
 
 FEATURE_DIM = 13
 HOP_MS = 20
@@ -82,10 +81,9 @@ def check_audio(script: list[tuple[str, int]], vocabulary: list[str], seed: int,
     for word, start_ms in script:
         if word not in known:
             raise ValueError(f"script word {word!r} not in vocabulary or distractors")
-        if not (isinstance(start_ms, numbers.Integral) and start_ms >= 0):
+        if not (is_integer(start_ms) and start_ms >= 0):
             raise ValueError(f"script time {start_ms!r} must be an integer >= 0")
-    if duration_ms is not None and not (isinstance(duration_ms, numbers.Integral)
-                                        and duration_ms >= 0):
+    if duration_ms is not None and not (is_integer(duration_ms) and duration_ms >= 0):
         raise ValueError(f"duration_ms must be an integer >= 0, not {duration_ms!r}")
     check_noise(noise_sigma, seed)
 

@@ -8,13 +8,12 @@ magnitude, threshold crossing, and a 100 ms refractory debounce.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import check_noise
+from . import check_noise, is_integer
 
 SAMPLE_RATE_HZ = 100
 SAMPLE_PERIOD_MS = 1000 // SAMPLE_RATE_HZ
@@ -50,10 +49,10 @@ class TapParams:
 
 def check_imu(tap_times: list[int], duration_ms: int, noise_sigma: float, seed: int) -> None:
     """Raise what ``synth_imu`` would raise for these arguments."""
-    if not (isinstance(duration_ms, numbers.Integral) and duration_ms >= SAMPLE_PERIOD_MS):
+    if not (is_integer(duration_ms) and duration_ms >= SAMPLE_PERIOD_MS):
         raise ValueError(f"duration_ms must be an integer >= {SAMPLE_PERIOD_MS}, "
                          f"not {duration_ms!r}")
-    if not all(isinstance(t, numbers.Integral) for t in tap_times):
+    if not all(map(is_integer, tap_times)):
         raise ValueError(f"tap_times must be integers, not {tap_times!r}")
     if any(not (0 <= t < duration_ms) for t in tap_times):
         raise ValueError("tap_times must lie within the window")

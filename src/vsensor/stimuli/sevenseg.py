@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import check_noise
+from . import check_noise, is_integer
 from .scene import MIN_FRAME_PX, Frame, _contrast
 
 # digit capacity of the text reader's two 32-bit BCD words
@@ -106,7 +106,7 @@ class DisplayLayout:
         if self.rotation not in (0, 90, 180, 270):
             raise ValueError("rotation must be one of 0, 90, 180, 270")
         for name in ("x", "y", "frame_width", "frame_height"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if min(self.x, self.y) < 0:
             raise ValueError("x and y must be >= 0")

@@ -55,10 +55,6 @@ class HighInterval:
     end: int
     open_ended: bool = False
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 class I2CTransaction(NamedTuple):
     """One I2C transfer: a row of the run record's I2C log."""

@@ -108,7 +108,7 @@ MALFORMED = [
      "serial_reads[0]: needs integers at"),
     ("read_at_bool", "simulate",
      _one_device("TEXT_READER", serial_reads=[{"at": True, "address": 0x29}]),
-     "serial_reads[0]: needs integers at"),
+     "serial_reads[0]: at must be an integer, not True"),
     ("read_negative_n", "simulate",
      _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29, "n": -1}]),
      "serial_reads[0]: needs integers at"),
@@ -118,10 +118,10 @@ MALFORMED = [
     ("stimulus_integers_bool", "simulate",
      _one_device("PERSON", stimuli=[{"modality": "scene", "at": True, "count": True,
                                      "every_ms": True}]),
-     "devices[0].stimuli[0]: scene: ['at', 'count', 'every_ms'] must be integers, not booleans"),
+     "devices[0].stimuli[0]: at must be an integer, not True"),
     ("stimulus_duration_bool", "simulate",
      _one_device("TAP", stimuli=[{"modality": "imu", "duration_ms": False}]),
-     "devices[0].stimuli[0]: imu: ['duration_ms'] must be integers, not booleans"),
+     "devices[0].stimuli[0]: duration_ms must be an integer, not False"),
     ("stimulus_count_negative", "simulate",
      _one_device("PERSON", stimuli=[{"modality": "scene", "count": -3}]),
      "devices[0].stimuli[0]: scene: needs integers count >= 1"),
@@ -133,13 +133,13 @@ MALFORMED = [
      "devices[0].stimuli[0]: scene: needs integers every_ms >= 1"),
     ("stimulus_at_fractional", "simulate",
      _one_device("TAP", stimuli=[{"modality": "imu", "at": 2.5}]),
-     "devices[0].stimuli[0]: imu: needs integers at >= 0"),
+     "devices[0].stimuli[0]: at must be an integer, not 2.5"),
     ("stimulus_seed_bool", "simulate",
      _one_device("PERSON", stimuli=[{"modality": "scene", "seed": True}]),
-     "devices[0].stimuli[0]: scene: seed must be an integer, not True"),
+     "devices[0].stimuli[0]: seed must be an integer, not True"),
     ("stimulus_seed_string", "simulate",
      _one_device("PERSON", stimuli=[{"modality": "scene", "seed": "7"}]),
-     "devices[0].stimuli[0]: scene: seed must be an integer, not '7'"),
+     "devices[0].stimuli[0]: seed must be an integer, not '7'"),
     ("stimulus_unknown_modality", "simulate",
      _one_device("TAP", stimuli=[{"modality": "smell"}]),
      "devices[0].stimuli[0]: unknown stimulus modality 'smell'"),
@@ -154,14 +154,22 @@ MALFORMED = [
     ("scenario_seed_string", "simulate", {"duration_ms": 200, "seed": "abc", "devices": []},
      "error: seed must be an integer, not 'abc'"),
     ("duration_bool", "simulate", {"duration_ms": True, "devices": []},
-     "duration_ms must be an integer >= 1"),
+     "error: duration_ms must be an integer, not True"),
+    ("duration_zero", "simulate", {"duration_ms": 0, "devices": []},
+     "error: duration_ms must be an integer >= 1"),
     ("composite_hold_bool", "simulate",
      _one_device("TAP", composites=[{"combinator": "debounce", "line_id": "L",
                                      "line": "d.TAP", "hold_ms": True}]),
-     "composites[0]: debounce: ['hold_ms'] must be integers >= 0"),
+     "composites[0]: hold_ms must be an integer, not True"),
     ("devices_not_a_list", "simulate", {"duration_ms": 200, "devices": 5}, "devices"),
+    ("device_not_an_object", "simulate", {"duration_ms": 200, "devices": [5]},
+     "devices[0]: device must be an object, not 5"),
+    ("stimuli_not_objects", "simulate", _one_device("TAP", stimuli=[5]),
+     "devices[0]: stimuli must be a list of objects"),
     ("threshold_string", "simulate", _one_device("PERSON", {"threshold": "high"}),
-     "devices[0]: bad value"),
+     "devices[0]: config.threshold must be a number, not 'high'"),
+    ("threshold_overflow", "simulate", _one_device("PERSON", {"threshold": 1e40}),
+     "devices[0]: bad value: float too large"),
     ("figure_unknown", "simulate", _one_device("PERSON", {"figure": "cat"}), "'cat'"),
     ("empty_vocabulary", "simulate", _one_device("VOICE_SERIAL", {"vocabulary": []}),
      "vocabulary"),
@@ -179,7 +187,7 @@ MALFORMED = [
      "devices[0]: unknown device key(s) ['confg']"),
     ("params_not_a_path", "simulate",
      {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": 5}]},
-     "devices[0]: params must be a file path, not 5"),
+     "devices[0]: params must be a string, not 5"),
     ("params_builtin_is_a_path", "simulate",
      {"duration_ms": 200, "devices": [{"id": "d", "kind": "TAP", "params": "builtin"}]},
      "No such file or directory: 'builtin'"),
@@ -191,13 +199,17 @@ MALFORMED = [
     ("composite_key_typo", "simulate",
      _one_device("TAP", composites=[{**GATED, "windw_ms": 5}]), "'windw_ms'"),
     ("composite_missing_event", "simulate",
-     _one_device("TAP", composites=[{**GATED, "event": None}]), "['event']"),
+     _one_device("TAP", composites=[{k: v for k, v in GATED.items() if k != "event"}]),
+     "composites[0]: gated_event: missing key(s) ['event']"),
+    ("composite_event_null", "simulate",
+     _one_device("TAP", composites=[{**GATED, "event": None}]),
+     "composites[0]: event must be a string, not None"),
     ("composite_negative_window", "simulate",
      _one_device("TAP", composites=[{**GATED, "window_ms": -1}]), "window_ms"),
     # each composite is checked as it registers, not when the run is written
     ("composite_line_id_not_a_string", "simulate",
      _one_device("TAP", composites=[GATED, {**GATED, "line_id": 5}]),
-     "composites[1]: gated_event: line_id must be a string, not 5"),
+     "composites[1]: line_id must be a string, not 5"),
     ("composite_cycle", "simulate",
      _one_device("TAP", composites=[{"combinator": "invert", "line_id": "a", "line": "b"},
                                     {"combinator": "invert", "line_id": "b", "line": "a"}]),
@@ -205,6 +217,42 @@ MALFORMED = [
     ("composite_input_unknown", "simulate",
      _one_device("TAP", composites=[{**GATED, "gate": "nope"}]),
      "composites[0]: gated_event: ['nope'] is no device line or earlier composite"),
+    # each value must have its default's JSON type
+    ("pulse_ms_fractional", "simulate", _one_device("TAP", {"pulse_ms": 150.5}),
+     "devices[0]: config.pulse_ms must be an integer, not 150.5"),
+    ("frame_period_fractional", "simulate",
+     _one_device("PERSON", {"policy": {"frame_period_ms": 100.5}}),
+     "devices[0]: config.policy.frame_period_ms must be an integer, not 100.5"),
+    ("rise_frames_bool", "simulate", _one_device("GAZE", {"policy": {"rise_frames": True}}),
+     "devices[0]: config.policy.rise_frames must be an integer, not True"),
+    ("person_present_integer", "simulate",
+     _one_device("PERSON", stimuli=[{"modality": "scene", "params": {"person_present": 1}}]),
+     "devices[0].stimuli[0]: params.person_present must be a boolean, not 1"),
+    ("text_reader_address_float", "simulate", _one_device("TEXT_READER", {"address": 41.0}),
+     "devices[0]: config.address must be an integer, not 41.0"),
+    ("imu_tap_bool", "simulate", _unread("TAP", modality="imu", taps=[True]),
+     "devices[0].stimuli[0]: ValueError: tap_times must be integers, not [True]"),
+    ("audio_duration_bool", "simulate", _unread("VOICE_PIN", modality="audio", duration_ms=True),
+     "devices[0].stimuli[0]: ValueError: duration_ms must be an integer >= 0, not True"),
+    # an integer id 5 and a string id "5" would both drive the line 5.TAP
+    ("device_id_not_a_string", "simulate",
+     {"duration_ms": 200, "devices": [{"id": 5, "kind": "TAP"}, {"id": "5", "kind": "TAP"}]},
+     "devices[0]: id must be a string, not 5"),
+    ("wiring_line_not_a_string", "simulate",
+     {"duration_ms": 200, "devices": [
+         {"id": "a", "kind": "TAP", "wiring": {"VDD": "vdd", "GND": "gnd", "TAP": 5}},
+         {"id": "b", "kind": "TAP"}]},
+     "devices[0]: wiring.TAP must be a string, not 5"),
+    ("wiring_pin_left_out", "simulate",
+     {"duration_ms": 200, "devices": [{"id": "a", "kind": "TAP", "wiring": {"TAP": "t"}}]},
+     "devices[0]: MISSING_PIN: wiring missing pins ['VDD', 'GND']"),
+    # no document may repeat a key, as a datasheet may not
+    ("simulate_duplicate_key", "simulate", b'{"seed": 1, "seed": 2, "duration_ms": 200}',
+     "error: doc.json: duplicate key 'seed'"),
+    ("conformance_duplicate_key", "conformance",
+     b'{"sensor_kind": "PERSON", "seed": 1, "seed": 2}', "error: doc.json: duplicate key 'seed'"),
+    ("audit_duplicate_key", "audit exposure.csv",
+     b'{"comm_spec_pinout": {"pins": [], "pins": []}}', "error: doc.json: duplicate key 'pins'"),
     ("protocol_distance", "conformance", _grid(distance_levels_m=[1.0, 20.0]),
      "distance_m must be in [0.25, 10]"),
     ("protocol_extra_key", "conformance", _grid(extra=1), "'extra'"),
@@ -330,11 +378,11 @@ MALFORMED = [
      "devices[0].stimuli[0]: ValueError: x and y must be >= 0"),
     ("display_x_fractional", "simulate",
      _unread("TEXT_READER", modality="display", reading="1.5", layout={"x": 8.5}),
-     "devices[0].stimuli[0]: TypeError: x must be an integer, not 8.5"),
+     "devices[0].stimuli[0]: layout.x must be an integer, not 8.5"),
     ("display_lux_string", "simulate",
      _unread("TEXT_READER", modality="display", reading="1.5",
              params={"illuminance_lux": "bright"}),
-     "devices[0].stimuli[0]: TypeError: illuminance_lux must be a number, not 'bright'"),
+     "devices[0].stimuli[0]: params.illuminance_lux must be a number, not 'bright'"),
     ("display_noise_negative", "simulate",
      _unread("TEXT_READER", modality="display", reading="1.5", params={"noise_sigma": -1}),
      "devices[0].stimuli[0]: ValueError: noise_sigma must be >= 0"),

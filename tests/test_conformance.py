@@ -60,12 +60,8 @@ class TestRun:
         assert all(c.trials == 10 for c in small_report.cells)
 
     def test_nominal_cell_perfect(self, small_report):
-        cell = small_report.cell(1.0, 800)
+        cell = next(c for c in small_report.cells if (c.distance_m, c.lux) == (1.0, 800))
         assert cell.tpr == 1.0 and cell.fpr == 0.0
-
-    def test_cell_outside_grid(self, small_report):
-        with pytest.raises(KeyError):
-            small_report.cell(3.0, 800)
 
     @pytest.mark.parametrize("budget,tpr,latency", [(150, 0.0, None), (200, 1.0, 200.0)],
                              ids=["late", "in_time"])

@@ -111,9 +111,17 @@ class TestValidate:
         ("comm_spec_pinout", "pins", "VDD,GND,DETECT", "pins must be a list"),
         ("comm_spec_pinout", "timing", {"cadence_ms": 1.5},
          "timing must map names to positive integer milliseconds"),
+        ("comm_spec_pinout", "timing", {"cadence_ms": True},
+         "timing must map names to positive integer milliseconds"),
+        ("comm_spec_pinout", "serial",
+         {"address": "0x29", "register_map_len": 8, "packet_spec_id": "bcd-reading-v1"},
+         "serial address and register_map_len must be integers"),
+        ("comm_spec_pinout", "serial", {"address": 41, "packet_spec_id": "bcd-reading-v1"},
+         "serial address and register_map_len must be integers"),
         ("compliance", None, ["CE", ""], "compliance must be a list of marks"),
         ("form_factor", None, ["10x10 mm"], "section 'form_factor' must be an object"),
-    ], ids=["malformed_pin", "pins_not_list", "timing_not_int", "compliance_not_marks",
+    ], ids=["malformed_pin", "pins_not_list", "timing_not_int", "timing_bool",
+            "serial_address_string", "serial_no_register_map_len", "compliance_not_marks",
             "section_not_object"])
     def test_inconsistent_section(self, section, field, value, message):
         ds = load("person.mlsd.json")

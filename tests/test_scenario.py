@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from vsensor import sensors, vbus
-from vsensor.scenario import _MODALITIES, KINDS, config_defaults, run_scenario
+from vsensor.scenario import (_MODALITIES, KINDS, ScenarioError, _with_defaults,
+                              config_defaults, run_scenario)
 from vsensor.stimuli import audio, imu, scene, sevenseg
 from vsensor.stimuli.audio import ScriptWindow, synth_audio
 from vsensor.stimuli.imu import TapWindow, synth_imu
@@ -60,9 +61,40 @@ def test_readme_lists_every_config_key(kind):
     assert all(f"`{k}`" in row for k in config_defaults(KINDS[kind])), row
 
 
+@pytest.mark.parametrize("default,good,bad,name", [
+    (0, [7, -1, np.int64(3)], [True, 1.0, "1", None], "an integer"),
+    (0.5, [1, 2.5, np.float64(0.1)], [False, "1.5", None], "a number"),
+    ("", ["x"], [5, None, ["x"]], "a string"),
+    (False, [True], [0, 1, "true", None], "a boolean"),
+    ([], [[1]], [(1,), {}, "a"], "a list"),
+    (("on",), [["off"]], [("off",), "on"], "a list"),
+    ({}, [{"a": 1}], [[], "a"], "an object"),
+])
+def test_each_value_takes_its_defaults_json_type(default, good, bad, name):
+    for value in good:
+        assert _with_defaults({"k": value}, {"k": default}, "entry") == {"k": value}
+    for value in bad:
+        with pytest.raises(ScenarioError, match=re.escape(f"k must be {name}, not {value!r}")):
+            _with_defaults({"k": value}, {"k": default}, "entry")
+    assert _with_defaults({}, {"k": default}, "entry") == {"k": default}
+
+
+def test_a_none_default_takes_any_value_and_a_dict_default_nests():
+    assert _with_defaults({"k": [1]}, {"k": None}, "entry") == {"k": [1]}
+    nested = {"n": {"a": 1, "b": ""}}
+    assert _with_defaults({"n": {"a": 2}}, nested, "entry") == {"n": {"a": 2, "b": ""}}
+    with pytest.raises(ScenarioError, match=r"^n\.b must be a string, not 5$"):
+        _with_defaults({"n": {"b": 5}}, nested, "entry")
+    with pytest.raises(ScenarioError, match=re.escape("unknown n key(s) ['c']")):
+        _with_defaults({"n": {"c": 5}}, nested, "entry")
+    with pytest.raises(ScenarioError, match="^n must be an object, not 5$"):
+        _with_defaults({"n": 5}, nested, "entry")
+
+
 def test_config_keys_are_factory_keywords_and_policy_is_an_object():
     assert list(config_defaults(KINDS["PERSON"])) == ["policy", "threshold", "figure"]
-    assert config_defaults(KINDS["GAZE"])["policy"] == {}
+    assert config_defaults(KINDS["GAZE"])["policy"] == {
+        "frame_period_ms": 100, "rise_frames": 2, "fall_frames": 2}
     assert all("params" not in config_defaults(f) for f in KINDS.values())
 
 

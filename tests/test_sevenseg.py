@@ -69,6 +69,18 @@ class TestRenderDisplay:
         with pytest.raises(ValueError, match="rotation must be one of"):
             DisplayLayout(rotation=45)
 
+    @pytest.mark.parametrize("field,value", [("x", 8.5), ("y", True), ("frame_width", "96"),
+                                             ("frame_height", 64.0)])
+    def test_layout_takes_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer, not {value!r}"):
+            DisplayLayout(**{field: value})
+        assert getattr(DisplayLayout(**{field: np.int64(9)}), field) == 9
+
+    def test_params_take_a_number(self):
+        with pytest.raises(TypeError, match="illuminance_lux must be a number, not 'bright'"):
+            DisplayParams(illuminance_lux="bright")
+        assert DisplayParams(illuminance_lux=np.float32(300)).illuminance_lux == 300
+
 
 class TestDecodeDisplay:
     def test_round_trip_spec_examples(self):

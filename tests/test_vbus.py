@@ -107,7 +107,7 @@ class TestHighIntervals:
             (5, 10, False),
             (20, 25, False),
         ]
-        assert ivs[0].length == 5
+        assert ivs[0].end - ivs[0].start == 5
         assert ivs[0] == HighInterval(5, 10) and ivs[0] != HighInterval(5, 10, True)
         assert not hasattr(ivs[0], "__dict__")  # slotted: a long trace keeps many
 
