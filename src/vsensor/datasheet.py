@@ -94,11 +94,11 @@ def canonical_json(doc: dict) -> str:
 
 
 def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # name the first key given a second time
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
     return out
 
 
@@ -198,6 +198,9 @@ def _check_pinout_consistency(pinout: object) -> list[Violation]:
             is_integer(serial.get(k)) for k in ("address", "register_map_len"))):
         v.append(Violation("comm_spec_pinout", "INCONSISTENT",
                            "serial address and register_map_len must be integers"))
+    elif serial is not None and not isinstance(serial.get("packet_spec_id"), str):
+        v.append(Violation("comm_spec_pinout", "INCONSISTENT",
+                           "serial packet_spec_id must be a string"))
     timing = pinout.get("timing")
     if timing is not None and (
         not isinstance(timing, dict)

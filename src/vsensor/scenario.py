@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import inspect
 import struct
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from . import compose as compose_mod
 from .devkit import DeviceError, SensorDevice, power_on
@@ -29,7 +30,7 @@ from .stimuli.audio import ScriptWindow
 from .stimuli.imu import TapWindow
 from .stimuli.scene import SceneFrame, SceneParams
 from .stimuli.sevenseg import DisplayFrame, DisplayLayout, DisplayParams, Reading
-from .vbus import I2C_ADDRESS_MAX, I2C_ADDRESS_MIN, Bus, BusError, Direction
+from .vbus import I2C_ADDRESS_MAX, I2C_ADDRESS_MIN, READ, Bus, BusError
 
 
 class ScenarioError(Exception):
@@ -55,25 +56,36 @@ _JSON_TYPES = {
 }
 
 
+class _Keys(dict):
+    """Keys with their defaults, and each key's rule for a value given in its
+    place, made once: a nested table for a non-empty dict default, else the
+    default's JSON type (``_JSON_TYPES``; any value for a None default)."""
+
+    def __init__(self, defaults: dict) -> None:
+        super().__init__({k: _Keys(d) if isinstance(d, dict) and d else d
+                          for k, d in defaults.items()})
+        self.rules = {k: d if type(d) is _Keys else _JSON_TYPES.get(type(d), (lambda v: True, ""))
+                      for k, d in self.items()}
+
+
 def _with_defaults(given: object, defaults: dict, where: str, prefix: str = "") -> dict:
     """``defaults`` overridden by ``given``, whose keys must all be known and
-    whose values must each have their default's JSON type (``_JSON_TYPES``;
-    a None default takes any value).  A non-empty dict default is a nested
-    object checked the same way; ``prefix`` is ``given``'s dotted path."""
+    whose values must each pass their key's rule (``_Keys``); ``prefix`` is
+    ``given``'s dotted path."""
     if not isinstance(given, dict):
         raise ScenarioError(f"{where} must be an object, not {given!r}")
-    if not given.keys() <= defaults.keys():
-        unknown = sorted(given.keys() - defaults.keys())
+    keys = defaults if type(defaults) is _Keys else _Keys(defaults)
+    out = {**keys, **given}
+    if len(out) != len(keys):
+        unknown = sorted(given.keys() - keys.keys())
         raise ScenarioError(f"unknown {where + ' ' if where else ''}key(s) {unknown}")
-    out = {**defaults, **given}
+    rules = keys.rules
     for key, value in given.items():
-        default = defaults[key]
-        if isinstance(default, dict) and default:
-            out[key] = _with_defaults(value, default, prefix + key, f"{prefix}{key}.")
-        elif type(default) in _JSON_TYPES:
-            test, name = _JSON_TYPES[type(default)]
-            if not test(value):
-                raise ScenarioError(f"{prefix}{key} must be {name}, not {value!r}")
+        rule = rules[key]
+        if type(rule) is _Keys:
+            out[key] = _with_defaults(value, rule, prefix + key, f"{prefix}{key}.")
+        elif not rule[0](value):
+            raise ScenarioError(f"{prefix}{key} must be {rule[1]}, not {value!r}")
     return out
 
 
@@ -114,17 +126,20 @@ _COMBINATORS = {
 }
 
 
-@contextmanager
-def _located(path: str):
-    """Report a malformed entry as a ScenarioError that names where it is."""
-    try:
-        yield
-    except (ScenarioError, DeviceError, BusError) as e:
-        raise ScenarioError(f"{path}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError(f"{path}: {type(e).__name__}: {e}") from e
-    except (struct.error, OverflowError) as e:  # a value that does not fit its field
-        raise ScenarioError(f"{path}: bad value: {e}") from e
+class _located(AbstractContextManager):
+    """Report a malformed entry as a ScenarioError that names where it is,
+    ``path % index``, formatted only when one is raised."""
+
+    def __init__(self, path: str, index: int | tuple[int, ...] = ()) -> None:
+        self.path, self.index = path, index
+
+    def __exit__(self, kind, e, traceback) -> None:
+        if isinstance(e, (ScenarioError, DeviceError, BusError)):
+            raise ScenarioError(f"{self.path % self.index}: {e}") from e
+        if isinstance(e, (KeyError, TypeError, ValueError)):
+            raise ScenarioError(f"{self.path % self.index}: {type(e).__name__}: {e}") from e
+        if isinstance(e, (struct.error, OverflowError)):  # a value that does not fit its field
+            raise ScenarioError(f"{self.path % self.index}: bad value: {e}") from e
 
 
 def _entries(doc: dict, key: str) -> list[dict]:
@@ -200,12 +215,17 @@ _MODALITIES = {
 }
 
 
+# each modality's entry keys, modality, at and seed included
+_ENTRY_KEYS = {m: _Keys({"modality": "", "at": 0, "seed": 0, **keys})
+               for m, (_, keys) in _MODALITIES.items()}
+
+
 def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
     modality = spec.get("modality")
     if modality not in _MODALITIES:
         raise ScenarioError(f"unknown stimulus modality {modality!r}")
     build, keys = _MODALITIES[modality]
-    entry = _with_defaults(spec, {"modality": "", "at": 0, "seed": 0, **keys}, modality)
+    entry = _with_defaults(spec, _ENTRY_KEYS[modality], modality)
     short = [f"{k} >= {low}" for k, low in (("at", 0), ("count", 1), ("every_ms", 1))
              if entry.get(k, low) < low]
     if short:
@@ -216,7 +236,7 @@ def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
 
 def _register_composites(result: ScenarioResult, specs: list) -> None:
     for i, spec in enumerate(specs):
-        with _located(f"composites[{i}]"):
+        with _located("composites[%d]", i):
             name = spec.get("combinator")
             if name not in _COMBINATORS:
                 raise ScenarioError(f"unknown combinator {name!r}")
@@ -245,9 +265,9 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
 
 # the keys of a scenario, of each device entry and of each serial read, with
 # their defaults; an empty default marks a key that must be given
-_SCENARIO_KEYS = {"seed": 0, "duration_ms": 0, "devices": [], "composites": [], "serial_reads": []}
-_DEVICE_KEYS = {"id": "", "kind": "", "config": {}, "params": "", "wiring": {}, "stimuli": []}
-_READ_KEYS = {"at": 0, "address": 0, "n": 1}
+_SCENARIO_KEYS = _Keys(dict(seed=0, duration_ms=0, devices=[], composites=[], serial_reads=[]))
+_DEVICE_KEYS = _Keys(dict(id="", kind="", config={}, params="", wiring={}, stimuli=[]))
+_READ_KEYS = _Keys(dict(at=0, address=0, n=1))
 
 
 def run_scenario(doc: dict) -> ScenarioResult:
@@ -261,7 +281,7 @@ def run_scenario(doc: dict) -> ScenarioResult:
     bus = Bus()
     result = ScenarioResult(bus, {}, {})
     for i, spec in enumerate(doc["devices"]):
-        with _located(f"devices[{i}]"):
+        with _located("devices[%d]", i):
             spec = _with_defaults(spec, _DEVICE_KEYS, "device")
             device_id = spec["id"]
             if not device_id or device_id in result.devices:
@@ -275,27 +295,27 @@ def run_scenario(doc: dict) -> ScenarioResult:
         result.devices[device_id] = device
         result.wiring[device_id] = wiring
         for j, stimulus in enumerate(stimuli):
-            with _located(f"devices[{i}].stimuli[{j}]"):
+            with _located("devices[%d].stimuli[%d]", (i, j)):
                 base = stimulus.get("seed", derive_seed(seed, device_id, j))
                 _feed_stimulus(device, stimulus, base)
     _register_composites(result, _entries(doc, "composites"))
-    reads = []
-    for i, read in enumerate(_entries(doc, "serial_reads")):
-        with _located(f"serial_reads[{i}]"):
+    reads, entries, where = [], _entries(doc, "serial_reads"), _located("serial_reads[%d]")
+    with where:  # once around the loop, not per read: where.index is the read being checked
+        for where.index, read in enumerate(entries):
             read = _with_defaults(read, _READ_KEYS, "")
-            if not (0 < read["at"] <= duration and read["n"] >= 0 and read["address"]):
+            at, address, n = read["at"], read["address"], read["n"]
+            if not (0 < at <= duration and n >= 0 and address):
                 raise ScenarioError(f"needs integers at in (0, {duration}], address and n")
-            if not I2C_ADDRESS_MIN <= read["address"] <= I2C_ADDRESS_MAX:
-                raise ScenarioError(f"address 0x{read['address']:02x} outside "
+            if not I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX:
+                raise ScenarioError(f"address 0x{address:02x} outside "
                                     f"[0x{I2C_ADDRESS_MIN:02x}, 0x{I2C_ADDRESS_MAX:02x}]")
-        reads.append(read)
+            reads.append((at, address, n))
     clock = 0
-    for read in sorted(reads, key=lambda r: r["at"]):
-        at = read["at"]
+    for at, address, n in sorted(reads, key=itemgetter(0)):
         if at > clock:
             bus.advance(at - clock)
             clock = at
-        bus.i2c_transfer(read["address"], Direction.READ, read["n"])
+        bus.i2c_transfer(address, READ, n)
     if clock < duration:
         bus.advance(duration - clock)
     return result

@@ -29,6 +29,7 @@ from .stimuli.audio import (
     FEATURE_DIM,
     MATCH_THRESHOLD,
     FeatureWindow,
+    check_vocabulary,
     detect_keywords,
     word_signature,
 )
@@ -327,6 +328,7 @@ class VoiceSerialDevice(_VoiceCore):
     def __init__(self, vocabulary: list[str], address: int):
         if not (1 <= len(vocabulary) <= 255):
             raise ValueError("vocabulary size must be in [1, 255]")
+        check_vocabulary(vocabulary)  # so each word is one packet index
         self._vocabulary = list(vocabulary)
         serial = SerialDecl(address, register_map_len=2, packet_spec_id="cmd-packet-v1")
         interface = _interface("serial: 2-byte command packets (index, sequence)", serial=serial)

@@ -74,11 +74,21 @@ def word_signature(word: str) -> np.ndarray:
     return sig
 
 
+def check_vocabulary(vocabulary: list[str]) -> None:
+    """A vocabulary's words must be strings, none given twice."""
+    if not all(isinstance(w, str) for w in vocabulary) or len(set(vocabulary)) < len(vocabulary):
+        raise ValueError(f"vocabulary must be distinct strings, not {list(vocabulary)!r}")
+
+
 def check_audio(script: list[tuple[str, int]], vocabulary: list[str], seed: int,
                 duration_ms: int | None = None, noise_sigma: float = NOISE_SIGMA) -> None:
     """Raise what ``synth_audio`` would raise for these arguments."""
+    check_vocabulary(vocabulary)
     known = set(vocabulary) | set(CONFUSABLE)
-    for word, start_ms in script:
+    for item in script:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2 and isinstance(item[0], str)):
+            raise ValueError(f"script items must be [word, time] pairs, not {item!r}")
+        word, start_ms = item
         if word not in known:
             raise ValueError(f"script word {word!r} not in vocabulary or distractors")
         if not (is_integer(start_ms) and start_ms >= 0):
@@ -168,8 +178,8 @@ def detect_keywords(
     out: list[KeywordEvent] = []
     last = -refractory
     n = len(best)
-    for i in range(n):
-        if best[i] < threshold or i - last < refractory:
+    for i in np.flatnonzero(~(best < threshold)).tolist():  # a NaN score too
+        if i - last < refractory:
             continue
         j = i + int(np.argmax(best[i : i + refractory]))
         k0, k1 = max(0, j - WORD_FRAMES), min(n, j + WORD_FRAMES)

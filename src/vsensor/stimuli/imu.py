@@ -111,8 +111,8 @@ def detect_tap(window: ImuWindow, params: TapParams | None = None) -> list[int]:
     refractory = max(1, params.refractory_ms // SAMPLE_PERIOD_MS)
     out: list[int] = []
     last = -refractory
-    for i, m in enumerate(mag):
-        if m >= params.threshold_g and i - last >= refractory:
+    for i in np.flatnonzero(mag >= params.threshold_g).tolist():
+        if i - last >= refractory:
             out.append(i * SAMPLE_PERIOD_MS)
             last = i
     return out

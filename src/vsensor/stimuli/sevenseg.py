@@ -3,9 +3,10 @@
 A display is drawn as a full-height orientation marker bar followed by
 glyph cells (digits, optional leading minus) with a decimal-point dot in
 the inter-cell gap after the last whole digit.  The decoder locates the
-lit bounding box, tries the four right-angle rotations, requires the
-marker bar on the left, samples each segment per cell, and maps segment
-sets through the standard decode table.
+lit bounding box and tries the right-angle rotations that make it one cell
+(CELL_H rows) tall, skipping the others in O(1).  It requires the marker
+bar on the left, samples each segment per cell, and maps each cell's
+segment code through the standard decode table.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ _SEG_SAMPLE = {
     "e": (3 * CELL_H // 4, 0),
     "c": (3 * CELL_H // 4, CELL_W - 1),
 }
+# a cell's samples: each segment's midpoint, then the decimal point's pixels
+# (the bottom two rows of the gap after the cell), and their bits in its code
+_DOT = 1 << len(SEGMENTS)
+_SAMPLE_ROWS, _SAMPLE_COLS = np.array(
+    [_SEG_SAMPLE[s] for s in SEGMENTS]
+    + [(r, CELL_W + c) for r in (CELL_H - 2, CELL_H - 1) for c in range(GAP)]).T
+_SAMPLE_BITS = np.array([1 << k for k in range(len(SEGMENTS))] + [_DOT] * 2 * GAP)
+_MARKER = [True] * MARKER_W + [False]  # the lit box's first columns all lit: marker, gap
 
 
 class LayoutOverflow(ValueError):
@@ -131,6 +140,12 @@ def segment_lookup(segments: set[str] | frozenset[str]) -> str | None:
     return _SEGMENTS_TO_DIGIT.get(frozenset(segments))
 
 
+# each code -> its digit, "-" for the minus sign, None for any other pattern
+_GLYPHS = [segment_lookup({s for k, s in enumerate(SEGMENTS) if code >> k & 1})
+           for code in range(1 << len(SEGMENTS))]
+_GLYPHS[sum(1 << SEGMENTS.index(s) for s in MINUS_SEGMENTS)] = "-"
+
+
 def _glyph_cells(r: Reading) -> list[frozenset[str]]:
     cells = []
     if r.negative:
@@ -192,8 +207,8 @@ def render_display(
     img[layout.y : layout.y + ph, layout.x : layout.x + pw] = np.maximum(region, patch)
     rng = np.random.default_rng(p.seed)
     if p.noise_sigma > 0:
-        img = img + rng.normal(0.0, p.noise_sigma, img.shape)
-    return Frame(np.clip(img, 0, 255).astype(np.uint8))
+        img += rng.normal(0.0, p.noise_sigma, img.shape)
+    return Frame(np.clip(img, 0, 255, out=img).astype(np.uint8))
 
 
 class DisplayFrame(Frame):
@@ -210,43 +225,28 @@ class DisplayFrame(Frame):
 
 
 def _decode_upright(lit: np.ndarray) -> Reading | None:
-    ys, xs = np.nonzero(lit)
-    y0, y1 = int(ys.min()), int(ys.max())
-    x0 = int(xs.min())
-    if y1 - y0 + 1 != CELL_H:
+    width = lit.shape[1]
+    lit_at = np.flatnonzero(lit)
+    y0 = int(lit_at[0]) // width
+    if int(lit_at[-1]) // width - y0 + 1 != CELL_H:
         return None
+    box = np.zeros((CELL_H, width + GAP), bool)  # GAP unlit columns past the frame's edge
+    box[:, :width] = lit[y0 : y0 + CELL_H]
+    cols = box.any(axis=0)
+    x0 = int(cols.argmax())
     # orientation marker: two fully-lit columns then a gap column
-    box = lit[y0 : y1 + 1]
-    if x0 + MARKER_W >= lit.shape[1]:
+    if x0 + MARKER_W >= width or box[:, x0 : x0 + MARKER_W + 1].all(axis=0).tolist() != _MARKER:
         return None
-    if not box[:, x0 : x0 + MARKER_W].all():
-        return None
-    if box[:, x0 + MARKER_W].all():
-        return None
-    cells_x = x0 + MARKER_W + GAP
-    glyphs: list[str] = []
-    dot_after: list[int] = []
-    i = 0
-    while True:
-        cx = cells_x + i * PITCH
-        if cx + CELL_W > lit.shape[1]:
-            break
-        cell = box[:, cx : cx + CELL_W]
-        if not cell.any():
-            break
-        segs = {s for s in SEGMENTS if cell[_SEG_SAMPLE[s]]}
-        digit = segment_lookup(segs)
-        if digit is not None:
-            glyphs.append(digit)
-        elif segs == MINUS_SEGMENTS and i == 0:
-            glyphs.append("-")
-        else:
-            return None
-        gap = box[CELL_H - 2 :, cx + CELL_W : cx + CELL_W + GAP]
-        if gap.size and gap.any():
-            dot_after.append(i)
-        i += 1
-    if not glyphs or len(dot_after) != 1:
+    # the cells that fit in the frame, up to the first one with no lit pixel
+    x = x0 + MARKER_W + GAP
+    fit = max(0, (width - CELL_W - x) // PITCH + 1)
+    lit_cells = cols[x : x + fit * PITCH].reshape(fit, PITCH)[:, :CELL_W].any(axis=1)
+    n = (lit_cells.tolist() + [False]).index(False)
+    cells = box[:, x : x + n * PITCH].reshape(CELL_H, n, PITCH)
+    codes = (_SAMPLE_BITS @ cells[_SAMPLE_ROWS, :, _SAMPLE_COLS]).tolist()
+    glyphs = [_GLYPHS[c & _DOT - 1] for c in codes]
+    dot_after = [i for i, c in enumerate(codes) if c >= _DOT]
+    if not glyphs or None in glyphs or "-" in glyphs[1:] or len(dot_after) != 1:
         return None
     negative = glyphs[0] == "-"
     digits = glyphs[1:] if negative else glyphs
@@ -259,15 +259,24 @@ def _decode_upright(lit: np.ndarray) -> Reading | None:
 
 
 def decode_display(frame: Frame) -> Reading | None:
-    """Locate and read a seven-segment display at any right-angle rotation."""
-    img = frame.pixels.astype(np.float64)
-    lo, hi = float(img.min()), float(img.max())
+    """Locate and read a seven-segment display at any right-angle rotation:
+    only those that make the lit box CELL_H rows tall, as ``_decode_upright``
+    rejects the others, each on the box with a PITCH margin, clipped at the
+    frame's edges, which holds all that it reads."""
+    px = frame.pixels
+    lo, hi = px.min().item(), px.max().item()
     if hi - lo < 60.0:
         return None  # no display-contrast content
-    mid = (lo + hi) / 2.0
-    for k in range(4):
-        rotated = np.rot90(img, -k) if k else img
-        reading = _decode_upright(rotated >= mid)
-        if reading is not None:
+    # integer pixels are compared in their own dtype, with the mid-level's ceiling
+    lit = px >= (lo + hi + 1) // 2 if px.dtype.kind in "iu" else px.astype(float) >= (lo + hi) / 2
+    lit_at = np.flatnonzero(lit)
+    y0, y1 = int(lit_at[0]) // lit.shape[1], int(lit_at[-1]) // lit.shape[1]
+    xs = np.flatnonzero(lit[y0 : y1 + 1].any(axis=0))
+    x0, x1 = int(xs[0]), int(xs[-1])
+    crop = lit[max(0, y0 - PITCH) : y1 + 1 + PITCH, max(0, x0 - PITCH) : x1 + 1 + PITCH]
+    # np.rot90(crop, -k) for k = 0..3 as views, and the rows each makes the box span
+    turns = (crop, crop.T[:, ::-1], crop[::-1, ::-1], crop.T[::-1])
+    for turned, rows in zip(turns, (y1 - y0 + 1, x1 - x0 + 1) * 2):
+        if rows == CELL_H and (reading := _decode_upright(np.ascontiguousarray(turned))):
             return reading
     return None

@@ -29,8 +29,8 @@ _LEVELS = (LOW, HIGH)  # indexed by level
 
 I2C_ADDRESS_MIN = 0x08
 I2C_ADDRESS_MAX = 0x77
-# a SERIAL exposure record's detail per address, one shared string each
-_ADDRESS_DETAIL = tuple(f"0x{a:02x}" for a in range(I2C_ADDRESS_MAX + 1))
+# each address as text: a SERIAL exposure record's detail, an I2C row's address
+_ADDRESS_TEXT = tuple(f"0x{a:02x}" for a in range(I2C_ADDRESS_MAX + 1))
 
 
 class Direction(Enum):
@@ -41,6 +41,9 @@ class Direction(Enum):
 class Status(Enum):
     ACK = "ack"
     NACK = "nack"
+
+
+READ, WRITE, ACK, NACK = Direction.READ, Direction.WRITE, Status.ACK, Status.NACK
 
 
 class BusError(Exception):
@@ -76,6 +79,7 @@ class ExposureRecord(NamedTuple):
     bits: int
 
 
+_row = tuple.__new__  # a row from its fields in order, skipping NamedTuple's Python __new__
 # column names of the run encoders: CSV headers and JSON record fields
 TRACE_COLUMNS = ("time_ms", "line_id", "level")
 I2C_COLUMNS = tuple("payload_hex" if f == "payload" else f for f in I2CTransaction._fields)
@@ -315,22 +319,24 @@ class Bus:
         if not (I2C_ADDRESS_MIN <= address <= I2C_ADDRESS_MAX):
             raise BusError(f"address 0x{address:02x} outside [0x08, 0x77]")
         responder = self.serial_responders.get(address)
-        payload, status, bits = b"", Status.NACK, 0
-        if direction == Direction.WRITE:
+        payload, status, bits = b"", NACK, 0
+        if direction is WRITE:
             bits = 8 * len(n_or_bytes)
         elif responder is not None:
-            payload = bytes(responder.serial_read(n_or_bytes, self.clock))
+            payload = responder.serial_read(n_or_bytes, self.clock)
+            if type(payload) is not bytes:
+                payload = bytes(payload)
             if len(payload) != n_or_bytes:
                 raise BusError(
                     f"responder at 0x{address:02x} returned {len(payload)} "
                     f"bytes, expected {n_or_bytes}"
                 )
-            status, bits = Status.ACK, 8 * n_or_bytes
+            status, bits = ACK, 8 * n_or_bytes
         if bits:
             self.exposure_log.append(
-                ExposureRecord(self.clock, "SERIAL", _ADDRESS_DETAIL[address], bits)
+                _row(ExposureRecord, (self.clock, "SERIAL", _ADDRESS_TEXT[address], bits))
             )
-        txn = I2CTransaction(self.clock, address, direction, status, payload)
+        txn = _row(I2CTransaction, (self.clock, address, direction, status, payload))
         self.i2c_log.append(txn)
         return txn
 
@@ -387,7 +393,7 @@ class Bus:
     def i2c_csv(self) -> str:
         """CSV of I2C_COLUMNS in log order."""
         return _csv(I2C_COLUMNS, (
-            f"{t},0x{address:02x},{direction.value},{status.value},{payload.hex()}"
+            f"{t},{_ADDRESS_TEXT[address]},{direction._value_},{status._value_},{payload.hex()}"
             for t, address, direction, status, payload in self.i2c_log
         ))
 

@@ -2,11 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsensor.stimuli.audio import (
+    ENERGY_FLOOR,
     FEATURE_DIM,
     HOP_MS,
+    REFRACTORY_MS,
+    WORD_FRAMES,
     FeatureWindow,
+    KeywordEvent,
     detect_keywords,
     synth_audio,
     word_signature,
@@ -133,3 +139,40 @@ class TestDetectKeywords:
     def test_refractory_single_event_per_word(self):
         w = synth_audio([("on", 300)], VOCAB, seed=3)
         assert len(detect_keywords(w, TEMPLATES)) == 1
+
+
+def _loop_detect_keywords(window, templates, threshold):
+    """The per-frame loop that ``detect_keywords`` replaced."""
+    words = sorted(templates)
+    mat = np.stack([templates[w] / np.linalg.norm(templates[w]) for w in words])
+    norms = np.linalg.norm(window.frames, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(norms[:, None] >= ENERGY_FLOOR,
+                       (window.frames @ mat.T) / norms[:, None], 0.0)
+    best, which = cos.max(axis=1), cos.argmax(axis=1)
+    refractory = max(1, REFRACTORY_MS // HOP_MS)
+    out, last, n = [], -refractory, len(best)
+    for i in range(n):
+        if best[i] < threshold or i - last < refractory:
+            continue
+        j = i + int(np.argmax(best[i : i + refractory]))
+        k0, k1 = max(0, j - WORD_FRAMES), min(n, j + WORD_FRAMES)
+        proj = np.maximum(window.frames[k0:k1] @ mat[which[j]], 0.0)
+        center = float((np.arange(k0, k1) * proj).sum() / proj.sum())
+        onset = max(0, round((center - (WORD_FRAMES - 1) / 2) * HOP_MS))
+        out.append(KeywordEvent(words[which[j]], onset, float(best[j])))
+        last = j
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["on", "off", "often"]), st.integers(0, 12)),
+                max_size=6),
+       st.integers(0, 60), st.floats(0.0, 0.4), st.floats(0.5, 0.95), st.integers(0, 99))
+def test_detect_keywords_equals_the_per_frame_loop(slots, tail, noise, threshold, seed):
+    # words one refractory period (10 frames) apart, and words cut by the window's end
+    script = [(w, k * REFRACTORY_MS) for w, k in slots]
+    duration = max([t for _, t in script], default=0) + tail * HOP_MS
+    window = synth_audio(script, VOCAB, seed, duration, noise)
+    assert (detect_keywords(window, TEMPLATES, threshold)
+            == _loop_detect_keywords(window, TEMPLATES, threshold))

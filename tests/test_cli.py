@@ -115,6 +115,18 @@ MALFORMED = [
     ("read_address_out_of_range", "simulate",
      _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 5}]),
      "serial_reads[0]: address 0x05 outside [0x08, 0x77]"),
+    ("read_bad_at_index_3", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29}] * 3
+                 + [{"at": 60, "address": 0x29, "n": "8"}]),
+     "error: serial_reads[3]: n must be an integer, not '8'"),
+    ("read_not_an_object", "simulate",
+     _one_device("TEXT_READER", serial_reads=[{"at": 50, "address": 0x29}, [60, 0x29]]),
+     "error: serial_reads must be a list of objects"),
+    ("vocabulary_not_strings", "simulate", _one_device("VOICE_SERIAL", {"vocabulary": [5]}),
+     "devices[0]: ValueError: vocabulary must be distinct strings, not [5]"),
+    ("vocabulary_repeated", "simulate",
+     _one_device("VOICE_SERIAL", {"vocabulary": ["on", "on"]}),
+     "devices[0]: ValueError: vocabulary must be distinct strings, not ['on', 'on']"),
     ("stimulus_integers_bool", "simulate",
      _one_device("PERSON", stimuli=[{"modality": "scene", "at": True, "count": True,
                                      "every_ms": True}]),
@@ -340,6 +352,15 @@ MALFORMED = [
      "devices[0].stimuli[0]: ValueError: duration_ms must be an integer >= 0, not 500.5"),
     ("audio_word_unknown", "simulate", _unread("VOICE_PIN", modality="audio", script=[["xyz", 0]]),
      "devices[0].stimuli[0]: ValueError: script word 'xyz' not in vocabulary or distractors"),
+    ("audio_script_item_not_a_pair", "simulate",
+     _unread("VOICE_PIN", modality="audio", script=["on"]),
+     "devices[0].stimuli[0]: ValueError: script items must be [word, time] pairs, not 'on'"),
+    ("audio_script_item_of_three", "simulate",
+     _unread("VOICE_PIN", modality="audio", script=[["on", 0, 5]]),
+     "devices[0].stimuli[0]: ValueError: script items must be [word, time] pairs, not ['on', 0, 5]"),
+    ("audio_vocabulary_repeated", "simulate",
+     _unread("VOICE_PIN", modality="audio", vocabulary=["on", "on"]),
+     "devices[0].stimuli[0]: ValueError: vocabulary must be distinct strings, not ['on', 'on']"),
     ("audio_script_time_string", "simulate",
      _unread("VOICE_PIN", modality="audio", script=[["on", "100"]]),
      "devices[0].stimuli[0]: ValueError: script time '100' must be an integer >= 0"),
@@ -466,7 +487,8 @@ class TestDatasheetCommands:
     @pytest.mark.parametrize("text,expected", [
         ('{\n  "a": 1,\n}\n', "(line 3, col 1)"),
         ('{"a": 1, "a": 2}', "parse error: duplicate key 'a'\n"),
-    ], ids=["json_syntax", "duplicate_key"])
+        ('{"a": 1, "b": 1, "b": 2, "a": 2}', "parse error: duplicate key 'b'\n"),
+    ], ids=["json_syntax", "duplicate_key", "first_key_given_again"])
     def test_parse_error_exit_1(self, text, expected, tmp_path, capsys):
         bad = tmp_path / "bad.mlsd.json"
         bad.write_text(text)

@@ -118,10 +118,13 @@ class TestValidate:
          "serial address and register_map_len must be integers"),
         ("comm_spec_pinout", "serial", {"address": 41, "packet_spec_id": "bcd-reading-v1"},
          "serial address and register_map_len must be integers"),
+        ("comm_spec_pinout", "serial", {"address": 41, "register_map_len": 8},
+         "serial packet_spec_id must be a string"),
         ("compliance", None, ["CE", ""], "compliance must be a list of marks"),
         ("form_factor", None, ["10x10 mm"], "section 'form_factor' must be an object"),
     ], ids=["malformed_pin", "pins_not_list", "timing_not_int", "timing_bool",
-            "serial_address_string", "serial_no_register_map_len", "compliance_not_marks",
+            "serial_address_string", "serial_no_register_map_len",
+            "serial_no_packet_spec_id", "compliance_not_marks",
             "section_not_object"])
     def test_inconsistent_section(self, section, field, value, message):
         ds = load("person.mlsd.json")
@@ -130,6 +133,18 @@ class TestValidate:
         else:
             ds.doc[section][field] = value
         assert validate(ds) == [Violation(section, "INCONSISTENT", message)]
+
+    @pytest.mark.parametrize("serial", [
+        {"address": 41, "register_map_len": 8},
+        {"address": 41, "register_map_len": 8, "packet_spec_id": 5},
+        {"address": "0x29", "register_map_len": 8, "packet_spec_id": "bcd-reading-v1"},
+    ])
+    def test_audit_rejects_the_serial_entries_validate_rejects(self, serial):
+        ds = load("person.mlsd.json")
+        ds.doc["comm_spec_pinout"]["serial"] = serial
+        [violation] = validate(ds)
+        with pytest.raises(ValueError, match=f"malformed comm_spec_pinout: {violation.message}"):
+            datasheet.interface_from_pinout(ds.doc["comm_spec_pinout"])
 
 
 class TestRender:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsensor.stimuli.imu import (
     SAMPLE_PERIOD_MS,
@@ -68,3 +70,27 @@ class TestDetectTap:
     def test_threshold_parameter(self):
         w = synth_imu([500], 2000, 0.03, seed=7)
         assert detect_tap(w, TapParams(threshold_g=15.0)) == []
+
+
+def _loop_detect_tap(window, params):
+    """The per-sample loop that ``detect_tap`` replaced."""
+    mag = high_pass_magnitude(window)
+    refractory = max(1, params.refractory_ms // SAMPLE_PERIOD_MS)
+    out, last = [], -refractory
+    for i, m in enumerate(mag):
+        if m >= params.threshold_g and i - last >= refractory:
+            out.append(i * SAMPLE_PERIOD_MS)
+            last = i
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 99), max_size=8), st.sampled_from([80, 90, 100, 110]),
+       st.floats(0.0, 0.6), st.floats(0.2, 4.0), st.sampled_from([10, 50, 100, 250]),
+       st.integers(0, 99))
+def test_detect_tap_equals_the_per_sample_loop(slots, spacing, noise, threshold, refractory, seed):
+    # taps on a grid of about one refractory period, so some land exactly one apart
+    taps = sorted({min(999, s * spacing) for s in slots})
+    window = synth_imu(taps, 1000, noise, seed)
+    params = TapParams(threshold, refractory)
+    assert detect_tap(window, params) == _loop_detect_tap(window, params)
