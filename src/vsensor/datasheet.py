@@ -94,11 +94,11 @@ def canonical_json(doc: dict) -> str:
 
 
 def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
-    out = dict(pairs)
-    if len(out) < len(pairs):  # name the first key given a second time
-        seen: set = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"duplicate key {key!r}")
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
     return out
 
 

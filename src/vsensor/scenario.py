@@ -53,39 +53,28 @@ _JSON_TYPES = {
     list: (lambda v: isinstance(v, list), "a list"),
     tuple: (lambda v: isinstance(v, list), "a list"),  # a factory's sequence default
     dict: (lambda v: isinstance(v, dict), "an object"),
+    type(None): (lambda v: True, ""),  # an audio duration_ms: any value
 }
-
-
-class _Keys(dict):
-    """Keys with their defaults, and each key's rule for a value given in its
-    place, made once: a nested table for a non-empty dict default, else the
-    default's JSON type (``_JSON_TYPES``; any value for a None default)."""
-
-    def __init__(self, defaults: dict) -> None:
-        super().__init__({k: _Keys(d) if isinstance(d, dict) and d else d
-                          for k, d in defaults.items()})
-        self.rules = {k: d if type(d) is _Keys else _JSON_TYPES.get(type(d), (lambda v: True, ""))
-                      for k, d in self.items()}
 
 
 def _with_defaults(given: object, defaults: dict, where: str, prefix: str = "") -> dict:
     """``defaults`` overridden by ``given``, whose keys must all be known and
-    whose values must each pass their key's rule (``_Keys``); ``prefix`` is
-    ``given``'s dotted path."""
+    whose values must each have their default's JSON type (``_JSON_TYPES``).
+    A non-empty dict default is a nested object checked the same way;
+    ``prefix`` is ``given``'s dotted path."""
     if not isinstance(given, dict):
         raise ScenarioError(f"{where} must be an object, not {given!r}")
-    keys = defaults if type(defaults) is _Keys else _Keys(defaults)
-    out = {**keys, **given}
-    if len(out) != len(keys):
-        unknown = sorted(given.keys() - keys.keys())
+    out = {**defaults, **given}
+    if len(out) != len(defaults):
+        unknown = sorted(given.keys() - defaults.keys())
         raise ScenarioError(f"unknown {where + ' ' if where else ''}key(s) {unknown}")
-    rules = keys.rules
     for key, value in given.items():
-        rule = rules[key]
-        if type(rule) is _Keys:
-            out[key] = _with_defaults(value, rule, prefix + key, f"{prefix}{key}.")
-        elif not rule[0](value):
-            raise ScenarioError(f"{prefix}{key} must be {rule[1]}, not {value!r}")
+        default = defaults[key]
+        test, name = _JSON_TYPES[type(default)]
+        if not test(value):
+            raise ScenarioError(f"{prefix}{key} must be {name}, not {value!r}")
+        if default and type(default) is dict:
+            out[key] = _with_defaults(value, default, prefix + key, f"{prefix}{key}.")
     return out
 
 
@@ -215,17 +204,12 @@ _MODALITIES = {
 }
 
 
-# each modality's entry keys, modality, at and seed included
-_ENTRY_KEYS = {m: _Keys({"modality": "", "at": 0, "seed": 0, **keys})
-               for m, (_, keys) in _MODALITIES.items()}
-
-
 def _feed_stimulus(device: SensorDevice, spec: dict, base: int) -> None:
     modality = spec.get("modality")
     if modality not in _MODALITIES:
         raise ScenarioError(f"unknown stimulus modality {modality!r}")
     build, keys = _MODALITIES[modality]
-    entry = _with_defaults(spec, _ENTRY_KEYS[modality], modality)
+    entry = _with_defaults(spec, {"modality": "", "at": 0, "seed": 0, **keys}, modality)
     short = [f"{k} >= {low}" for k, low in (("at", 0), ("count", 1), ("every_ms", 1))
              if entry.get(k, low) < low]
     if short:
@@ -265,9 +249,9 @@ def _register_composites(result: ScenarioResult, specs: list) -> None:
 
 # the keys of a scenario, of each device entry and of each serial read, with
 # their defaults; an empty default marks a key that must be given
-_SCENARIO_KEYS = _Keys(dict(seed=0, duration_ms=0, devices=[], composites=[], serial_reads=[]))
-_DEVICE_KEYS = _Keys(dict(id="", kind="", config={}, params="", wiring={}, stimuli=[]))
-_READ_KEYS = _Keys(dict(at=0, address=0, n=1))
+_SCENARIO_KEYS = {"seed": 0, "duration_ms": 0, "devices": [], "composites": [], "serial_reads": []}
+_DEVICE_KEYS = {"id": "", "kind": "", "config": {}, "params": "", "wiring": {}, "stimuli": []}
+_READ_KEYS = {"at": 0, "address": 0, "n": 1}
 
 
 def run_scenario(doc: dict) -> ScenarioResult:

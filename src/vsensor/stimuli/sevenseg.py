@@ -224,26 +224,20 @@ class DisplayFrame(Frame):
         return render_display(*self._args).pixels
 
 
-def _decode_upright(lit: np.ndarray) -> Reading | None:
-    width = lit.shape[1]
-    lit_at = np.flatnonzero(lit)
-    y0 = int(lit_at[0]) // width
-    if int(lit_at[-1]) // width - y0 + 1 != CELL_H:
-        return None
-    box = np.zeros((CELL_H, width + GAP), bool)  # GAP unlit columns past the frame's edge
-    box[:, :width] = lit[y0 : y0 + CELL_H]
-    cols = box.any(axis=0)
-    x0 = int(cols.argmax())
+def _decode_upright(box: np.ndarray, room: int) -> Reading | None:
+    """Read an upright display off its lit box, CELL_H rows tall, with
+    ``room`` unlit columns of the frame to the box's right."""
     # orientation marker: two fully-lit columns then a gap column
-    if x0 + MARKER_W >= width or box[:, x0 : x0 + MARKER_W + 1].all(axis=0).tolist() != _MARKER:
+    if box[:, : MARKER_W + 1].all(axis=0).tolist() != _MARKER:
         return None
+    width = box.shape[1] + min(room, PITCH)  # a cell that starts further right is unlit
+    lit = np.zeros((CELL_H, width + PITCH), bool)
+    lit[:, : box.shape[1]] = box
     # the cells that fit in the frame, up to the first one with no lit pixel
-    x = x0 + MARKER_W + GAP
-    fit = max(0, (width - CELL_W - x) // PITCH + 1)
-    lit_cells = cols[x : x + fit * PITCH].reshape(fit, PITCH)[:, :CELL_W].any(axis=1)
-    n = (lit_cells.tolist() + [False]).index(False)
-    cells = box[:, x : x + n * PITCH].reshape(CELL_H, n, PITCH)
-    codes = (_SAMPLE_BITS @ cells[_SAMPLE_ROWS, :, _SAMPLE_COLS]).tolist()
+    fit = max(0, (width - CELL_W - MARKER_W - GAP) // PITCH + 1)
+    cells = lit[:, MARKER_W + GAP : MARKER_W + GAP + fit * PITCH].reshape(CELL_H, fit, PITCH)
+    n = (cells[:, :, :CELL_W].any(axis=(0, 2)).tolist() + [False]).index(False)
+    codes = (_SAMPLE_BITS @ cells[_SAMPLE_ROWS, :n, _SAMPLE_COLS]).tolist()
     glyphs = [_GLYPHS[c & _DOT - 1] for c in codes]
     dot_after = [i for i, c in enumerate(codes) if c >= _DOT]
     if not glyphs or None in glyphs or "-" in glyphs[1:] or len(dot_after) != 1:
@@ -259,24 +253,22 @@ def _decode_upright(lit: np.ndarray) -> Reading | None:
 
 
 def decode_display(frame: Frame) -> Reading | None:
-    """Locate and read a seven-segment display at any right-angle rotation:
-    only those that make the lit box CELL_H rows tall, as ``_decode_upright``
-    rejects the others, each on the box with a PITCH margin, clipped at the
-    frame's edges, which holds all that it reads."""
+    """Locate and read a seven-segment display at any right-angle rotation.
+    Only the rotations that make the lit box CELL_H rows tall are read, as
+    no other can hold a display; each reads the box alone."""
     px = frame.pixels
     lo, hi = px.min().item(), px.max().item()
     if hi - lo < 60.0:
         return None  # no display-contrast content
     # integer pixels are compared in their own dtype, with the mid-level's ceiling
     lit = px >= (lo + hi + 1) // 2 if px.dtype.kind in "iu" else px.astype(float) >= (lo + hi) / 2
-    lit_at = np.flatnonzero(lit)
-    y0, y1 = int(lit_at[0]) // lit.shape[1], int(lit_at[-1]) // lit.shape[1]
-    xs = np.flatnonzero(lit[y0 : y1 + 1].any(axis=0))
-    x0, x1 = int(xs[0]), int(xs[-1])
-    crop = lit[max(0, y0 - PITCH) : y1 + 1 + PITCH, max(0, x0 - PITCH) : x1 + 1 + PITCH]
-    # np.rot90(crop, -k) for k = 0..3 as views, and the rows each makes the box span
-    turns = (crop, crop.T[:, ::-1], crop[::-1, ::-1], crop.T[::-1])
-    for turned, rows in zip(turns, (y1 - y0 + 1, x1 - x0 + 1) * 2):
-        if rows == CELL_H and (reading := _decode_upright(np.ascontiguousarray(turned))):
+    ys, xs = lit.any(axis=1).nonzero()[0], lit.any(axis=0).nonzero()[0]
+    y0, y1, x0, x1 = int(ys[0]), int(ys[-1]), int(xs[0]), int(xs[-1])
+    box = lit[y0 : y1 + 1, x0 : x1 + 1]
+    # np.rot90(box, -k) for k = 0..3 as views, each with the frame's columns to its right
+    turns = ((box, lit.shape[1] - 1 - x1), (box.T[:, ::-1], y0),
+             (box[::-1, ::-1], x0), (box.T[::-1], lit.shape[0] - 1 - y1))
+    for turned, room in turns:
+        if len(turned) == CELL_H and (reading := _decode_upright(turned, room)):
             return reading
     return None

@@ -43,9 +43,6 @@ class Status(Enum):
     NACK = "nack"
 
 
-READ, WRITE, ACK, NACK = Direction.READ, Direction.WRITE, Status.ACK, Status.NACK
-
-
 class BusError(Exception):
     """Raised on misuse of the bus (unknown line, time travel, bad dt)."""
 
@@ -80,6 +77,7 @@ class ExposureRecord(NamedTuple):
 
 
 _row = tuple.__new__  # a row from its fields in order, skipping NamedTuple's Python __new__
+READ, WRITE, ACK, NACK = Direction.READ, Direction.WRITE, Status.ACK, Status.NACK  # no enum lookup
 # column names of the run encoders: CSV headers and JSON record fields
 TRACE_COLUMNS = ("time_ms", "line_id", "level")
 I2C_COLUMNS = tuple("payload_hex" if f == "payload" else f for f in I2CTransaction._fields)

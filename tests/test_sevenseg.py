@@ -163,7 +163,9 @@ def test_decode_upright_rejects(reading, edits, expected):
     lit = _render_patch(reading, 1.0) > 0
     for rows, cols, value in edits:
         lit[rows, cols] = value
-    assert _decode_upright(lit) == expected
+    ys, xs = np.nonzero(lit)  # the lit box, and the patch's columns to its right
+    box = lit[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    assert _decode_upright(box, lit.shape[1] - 1 - xs.max()) == expected
 
 
 # -- the decode against the four-way full-frame decode it replaced ----------------

@@ -274,6 +274,16 @@ class TestBus:
         assert txn.payload == b"\x00\x01\x02"
         assert bus.exposure_log == [(5, "SERIAL", "0x29", 24)]
 
+    def test_i2c_payload_is_logged_as_bytes(self):
+        class Responder:
+            def serial_read(self, n, at):
+                return bytearray(range(n))
+
+        bus = Bus()
+        bus.attach_serial(0x29, Responder())
+        txn = bus.i2c_transfer(0x29, Direction.READ, 2)
+        assert type(txn.payload) is bytes and txn.payload == b"\x00\x01"
+
     def test_i2c_write_logs_exposure_even_on_nack(self):
         bus = Bus()
         bus.advance(7)
